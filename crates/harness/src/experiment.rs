@@ -1,6 +1,8 @@
 //! The experiment runner: pairs a GPU configuration, a power model and a
 //! governor choice, and produces comparable measurements.
 
+use std::sync::Arc;
+
 use equalizer_baselines::{ccws_baseline, DynCta, StaticPoint};
 use equalizer_core::{Equalizer, Mode};
 use equalizer_power::{EnergyBreakdown, PowerModel};
@@ -10,6 +12,9 @@ use equalizer_sim::governor::{FixedBlocksGovernor, Governor, StaticGovernor};
 use equalizer_sim::gpu::{SimError, SimOptions};
 use equalizer_sim::kernel::KernelSpec;
 use equalizer_sim::stats::RunStats;
+
+use crate::serve::hash::result_key;
+use crate::store::{ResultStore, StoreStats};
 
 /// Which system drives the hardware for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,12 +100,29 @@ pub fn compare(baseline: &Measurement, run: &Measurement) -> Comparison {
     }
 }
 
+/// Results a [`Runner`]'s store keeps at most. An entry is one
+/// `RunStats`, at most tens of KB with its epoch timeline; one figure
+/// generator needs a few hundred entries at most.
+const RUNNER_STORE_CAPACITY: usize = 1024;
+
 /// Runs kernels under systems and converts statistics to energy.
+///
+/// A runner memoizes its runs. The simulator is deterministic, so
+/// [`Runner::run`] keys each run by its canonical
+/// [`result_key`] (resolved configuration, kernel identity, options,
+/// system) in a [`ResultStore`]: a repeat returns a clone of the first
+/// run's `RunStats` instead of simulating again, and concurrent identical
+/// calls (e.g. from [`parallel_map`]) collapse onto one simulation. That
+/// is what lets the figure generators share their baseline runs. Clones
+/// of a runner share its store; [`Runner::new`] and [`Runner::gtx480`]
+/// start an empty one, so two independently built runners never share
+/// results.
 #[derive(Debug, Clone)]
 pub struct Runner {
     config: GpuConfig,
     model: PowerModel,
     options: SimOptions,
+    store: Arc<ResultStore<Arc<RunStats>, SimError>>,
 }
 
 /// Resolves the `SIM_THREADS` environment variable into a thread count
@@ -206,23 +228,24 @@ impl Runner {
             Ok(n) => n,
             Err(msg) => panic!("{msg}"),
         };
-        Self {
-            config: GpuConfig::gtx480(),
-            model: PowerModel::gtx480(),
-            options: SimOptions {
+        Self::new(
+            GpuConfig::gtx480(),
+            PowerModel::gtx480(),
+            SimOptions {
                 threads,
                 spin_limit,
                 ..SimOptions::default()
             },
-        }
+        )
     }
 
-    /// Builds a runner over a custom configuration.
+    /// Builds a runner over a custom configuration, with an empty store.
     pub fn new(config: GpuConfig, model: PowerModel, options: SimOptions) -> Self {
         Self {
             config,
             model,
             options,
+            store: Arc::new(ResultStore::new(RUNNER_STORE_CAPACITY)),
         }
     }
 
@@ -236,56 +259,35 @@ impl Runner {
         &self.model
     }
 
-    /// Resolves a [`System`] into the configuration and governor that
-    /// realise it on this runner's hardware.
-    ///
-    /// `pub(crate)` so the serving layer ([`crate::serve`]) resolves
-    /// requests through exactly the same mapping as the figure sweeps —
-    /// the resolved configuration is what its content-addressed request
-    /// keys are computed over.
-    pub(crate) fn system_setup(&self, system: System) -> (GpuConfig, Box<dyn Governor>) {
-        match system {
-            System::Static(point) => (point.apply(self.config.clone()), Box::new(StaticGovernor)),
-            System::Equalizer(mode) => (
-                self.config.clone(),
-                Box::new(Equalizer::new(mode, self.config.num_sms)),
-            ),
-            System::EqualizerBlocksOnly => (
-                self.config.clone(),
-                Box::new(
-                    Equalizer::new(Mode::Performance, self.config.num_sms)
-                        .with_frequency_control(false),
-                ),
-            ),
-            System::EqualizerPerSmVrm(mode) => {
-                let mut config = self.config.clone();
-                config.per_sm_vrm = true;
-                let gov = Equalizer::new(mode, config.num_sms).with_per_sm_vrm(true);
-                (config, Box::new(gov))
-            }
-            System::DynCta => (self.config.clone(), Box::new(DynCta::new())),
-            System::Ccws => {
-                let (c, g) = ccws_baseline(self.config.clone());
-                (c, Box::new(g))
-            }
-            System::FixedBlocks(n) => (self.config.clone(), Box::new(FixedBlocksGovernor::new(n))),
-        }
+    /// How this runner's store has answered so far: memo hits, joined
+    /// flights, and the simulations it actually ran.
+    pub fn store_stats(&self) -> StoreStats {
+        self.store.tallies()
     }
 
-    /// Runs `kernel` under `system`.
+    /// Runs `kernel` under `system`, or returns the memoized result of an
+    /// identical earlier run (see the [`Runner`] docs); either way the
+    /// measurement is the same.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from the simulator.
+    /// Propagates [`SimError`] from the simulator. A failure is memoized
+    /// too, so a repeat returns the same error.
     pub fn run(&self, kernel: &KernelSpec, system: System) -> Result<Measurement, SimError> {
-        let (config, mut governor) = self.system_setup(system);
-        let stats = Engine::new(&config, kernel, self.options)?.run(governor.as_mut())?;
-        Ok(self.measure(kernel, system, stats))
+        let (config, mut governor) = system_setup(&self.config, system);
+        let key = result_key(&config, kernel, &self.options, system, 0);
+        let (stats, _) = self.store.get_or_run(key, || {
+            let stats = Engine::new(&config, kernel, self.options)?.run(governor.as_mut())?;
+            Ok(Arc::new(stats))
+        });
+        let stats = stats?;
+        Ok(self.measure(kernel, system, RunStats::clone(&stats)))
     }
 
     /// Runs `kernel` under `system` with a passive [`Observer`] attached
     /// to the engine — e.g. [`crate::trace::JsonLinesTrace`] — without
-    /// perturbing the simulation.
+    /// perturbing the simulation. Always simulates, bypassing the store,
+    /// because the observer must see the run.
     ///
     /// # Errors
     ///
@@ -296,7 +298,7 @@ impl Runner {
         system: System,
         observer: &mut dyn Observer,
     ) -> Result<Measurement, SimError> {
-        let (config, mut governor) = self.system_setup(system);
+        let (config, mut governor) = system_setup(&self.config, system);
         let mut engine = Engine::new(&config, kernel, self.options)?.with_observer(observer);
         let stats = engine.run(governor.as_mut())?;
         Ok(self.measure(kernel, system, stats))
@@ -319,6 +321,36 @@ impl Runner {
     /// Propagates [`SimError`] from the simulator.
     pub fn baseline(&self, kernel: &KernelSpec) -> Result<Measurement, SimError> {
         self.run(kernel, System::Static(StaticPoint::Baseline))
+    }
+}
+
+/// Resolves a [`System`] into the configuration and governor that realise
+/// it on the `base` hardware.
+///
+/// `pub(crate)` so the serving layer ([`crate::serve`]) resolves requests
+/// through exactly the same mapping as [`Runner::run`] — the resolved
+/// configuration is what the content-addressed result keys are computed
+/// over.
+pub(crate) fn system_setup(base: &GpuConfig, system: System) -> (GpuConfig, Box<dyn Governor>) {
+    match system {
+        System::Static(point) => (point.apply(base.clone()), Box::new(StaticGovernor)),
+        System::Equalizer(mode) => (base.clone(), Box::new(Equalizer::new(mode, base.num_sms))),
+        System::EqualizerBlocksOnly => (
+            base.clone(),
+            Box::new(Equalizer::new(Mode::Performance, base.num_sms).with_frequency_control(false)),
+        ),
+        System::EqualizerPerSmVrm(mode) => {
+            let mut config = base.clone();
+            config.per_sm_vrm = true;
+            let gov = Equalizer::new(mode, config.num_sms).with_per_sm_vrm(true);
+            (config, Box::new(gov))
+        }
+        System::DynCta => (base.clone(), Box::new(DynCta::new())),
+        System::Ccws => {
+            let (c, g) = ccws_baseline(base.clone());
+            (c, Box::new(g))
+        }
+        System::FixedBlocks(n) => (base.clone(), Box::new(FixedBlocksGovernor::new(n))),
     }
 }
 

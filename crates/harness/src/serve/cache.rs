@@ -1,35 +1,35 @@
 //! Bounded, deterministic content-addressed LRU cache.
 //!
-//! Maps 64-bit canonical keys (see [`super::hash`]) to immutable byte
-//! payloads — encoded `RunStats` for the result cache, engine snapshots
-//! for the prefix cache. Recency is tracked with a monotonic sequence
-//! number and a `BTreeMap` index over it, so eviction order is a pure
-//! function of the lookup/store history: no hashing, no clocks, no
-//! per-process seeds. The eviction test in `tests/serve.rs` pins that
+//! Maps 64-bit canonical keys (see [`super::hash`]) to cheaply cloned
+//! payloads — results for the [`crate::store::ResultStore`], engine
+//! snapshots for the daemon's prefix cache. Recency is tracked with a
+//! monotonic sequence number and a `BTreeMap` index over it, so eviction
+//! order is a pure function of the lookup/store history: no hashing, no
+//! clocks, no per-process seeds. The eviction test in `tests/serve.rs` pins that
 //! determinism.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 #[derive(Debug)]
-struct Slot {
+struct Slot<V> {
     seq: u64,
-    bytes: Arc<Vec<u8>>,
+    value: V,
 }
 
-/// A bounded LRU map from canonical key to shared payload.
+/// A bounded LRU map from canonical key to a payload `V`, typically an
+/// `Arc` so a lookup clones a pointer rather than the payload.
 #[derive(Debug)]
-pub struct LruCache {
+pub struct LruCache<V> {
     capacity: usize,
     next_seq: u64,
-    by_key: BTreeMap<u64, Slot>,
+    by_key: BTreeMap<u64, Slot<V>>,
     /// Recency index: sequence number → key. The smallest sequence is
     /// the least recently used entry.
     by_age: BTreeMap<u64, u64>,
     evictions: u64,
 }
 
-impl LruCache {
+impl<V: Clone> LruCache<V> {
     /// Creates a cache holding at most `capacity` entries. A capacity
     /// of zero disables the cache (stores evict immediately).
     pub fn new(capacity: usize) -> Self {
@@ -44,25 +44,25 @@ impl LruCache {
 
     /// Returns the payload stored under `key`, marking it most recently
     /// used.
-    pub fn lookup(&mut self, key: u64) -> Option<Arc<Vec<u8>>> {
+    pub fn lookup(&mut self, key: u64) -> Option<V> {
         let slot = self.by_key.get_mut(&key)?;
         self.by_age.remove(&slot.seq);
         slot.seq = self.next_seq;
         self.next_seq += 1;
         self.by_age.insert(slot.seq, key);
-        Some(Arc::clone(&slot.bytes))
+        Some(slot.value.clone())
     }
 
-    /// Stores `bytes` under `key` (replacing any previous payload) and
+    /// Stores `value` under `key` (replacing any previous payload) and
     /// evicts least-recently-used entries until the capacity bound
     /// holds again.
-    pub fn store(&mut self, key: u64, bytes: Arc<Vec<u8>>) {
+    pub fn store(&mut self, key: u64, value: V) {
         if let Some(slot) = self.by_key.remove(&key) {
             self.by_age.remove(&slot.seq);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.by_key.insert(key, Slot { seq, bytes });
+        self.by_key.insert(key, Slot { seq, value });
         self.by_age.insert(seq, key);
         while self.by_key.len() > self.capacity {
             // The age index mirrors `by_key` one-to-one, so a non-empty
@@ -95,6 +95,7 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn payload(v: u8) -> Arc<Vec<u8>> {
         Arc::new(vec![v])

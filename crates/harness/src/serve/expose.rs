@@ -116,7 +116,11 @@ mod tests {
     fn registry_carries_every_tally_and_phase() {
         let reply = sample_reply();
         let registry = stats_registry(&reply).unwrap();
-        assert_eq!(registry.len(), 9 + 5, "9 tallies + 5 phase histograms");
+        assert_eq!(
+            registry.len(),
+            reply.tallies.named().len() + reply.phases.named().len(),
+            "one counter per tally plus one histogram per phase"
+        );
         let requests = registry.get("serve.requests").unwrap();
         assert_eq!(requests.last(), Some(7.0));
         match &registry.get("serve.phase.simulate").unwrap().kind {

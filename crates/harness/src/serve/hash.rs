@@ -10,7 +10,8 @@
 //! Two keys exist:
 //!
 //! * [`result_key`] — identifies a complete run, including which system
-//!   governs it. The result cache and single-flight table key on this.
+//!   governs it. The [`ResultStore`](crate::store::ResultStore) — the
+//!   daemon's and every `Runner`'s — keys on this.
 //! * [`prefix_key`] — identifies the warm-up prefix only (the first
 //!   `warm_epochs` epochs run under the static baseline governor, which
 //!   every system shares). It deliberately omits the system, so a sweep
@@ -18,8 +19,8 @@
 //!
 //! Canonicalisation rules:
 //!
-//! * The *resolved* configuration is folded — the one
-//!   `Runner::system_setup` actually hands the engine — because several
+//! * The *resolved* configuration is folded — the one the harness's
+//!   `system_setup` actually hands the engine — because several
 //!   systems (static VF points, per-SM VRM, CCWS) modify it.
 //! * Every [`SimOptions`] field participates, including the wall-clock
 //!   -only knobs (`threads`, `max_batch_ticks`): `RunStats` *encodes*

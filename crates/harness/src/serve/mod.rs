@@ -6,13 +6,18 @@
 //!
 //! 1. **Content-addressed memoization** — a run's statistics are a pure
 //!    function of (resolved config, kernel identity, options, system,
-//!    warm-start point), so completed results are cached under the
-//!    canonical [`hash::result_key`] in a bounded, deterministic LRU
-//!    ([`cache::LruCache`]) and repeats are answered byte-identically
-//!    without simulating.
+//!    warm-start point), so completed results are kept under the
+//!    canonical [`hash::result_key`] and repeats are answered
+//!    byte-identically without simulating.
 //! 2. **Single-flight deduplication** — concurrent identical requests
 //!    collapse onto one in-flight simulation; followers block on a
 //!    condvar and share the leader's bytes.
+//!
+//!    Both are the harness's one result store,
+//!    [`ResultStore`](crate::store::ResultStore), which every
+//!    [`Runner`](crate::Runner) also memoizes through; the daemon's
+//!    instance holds encoded `RunStats` bytes in a bounded, deterministic
+//!    LRU ([`cache::LruCache`]) of `ServeOptions::result_cache` entries.
 //! 3. **Snapshot warm-start** — requests with `warm_epochs > 0` run
 //!    their first epochs under the shared static baseline governor;
 //!    the machine image at that boundary (from

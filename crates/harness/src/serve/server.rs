@@ -1,5 +1,5 @@
-//! The simulation server: single-flight deduplication, result
-//! memoization, prefix warm-start, and the socket front-end.
+//! The simulation server: request resolution, prefix warm-start, and
+//! the socket front-end over the harness's [`ResultStore`].
 //!
 //! [`Server`] is the transport-independent core — `respond` maps one
 //! [`Request`] to one [`Response`] and is what the protocol tests
@@ -9,14 +9,14 @@
 //! completion (frames on one connection are handled in order; sharding
 //! happens across connections).
 //!
-//! Concurrency discipline: one mutex guards all memoization state, and
-//! it is *never* held across a simulation — a leader claims its key in
-//! the in-flight set, simulates unlocked, then publishes and wakes the
-//! waiters. The stepping hot path of the engine itself stays lock-free;
-//! `cargo xtask analyze` proves the serving layer's locks are not
-//! reachable from it.
+//! Concurrency discipline: result memoization, single flight and the
+//! failure memo are the [`ResultStore`]'s, which never holds its lock
+//! across a simulation. The server's own mutex guards only the prefix
+//! snapshot cache and the tallies. The stepping hot path of the engine
+//! itself stays lock-free; `cargo xtask analyze` proves the serving
+//! layer's locks are not reachable from it.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use equalizer_power::PowerModel;
 use equalizer_sim::config::GpuConfig;
 use equalizer_sim::engine::{Engine, StepEvent};
 use equalizer_sim::governor::{Governor, StaticGovernor};
@@ -40,7 +39,8 @@ use super::protocol::{
     decode_request, encode_response, read_frame, write_frame, Request, Response, ServerPhaseStats,
     ServerStats, SimOutcome, SimulateRequest, StatsReply,
 };
-use crate::Runner;
+use crate::experiment::system_setup;
+use crate::store::ResultStore;
 
 /// Nanoseconds since `start`, saturated into a `u64`.
 ///
@@ -72,19 +72,11 @@ impl Default for ServeOptions {
     }
 }
 
-/// Failed result keys remembered at most; the map is cleared once it
-/// grows past this, so a misbehaving client cannot grow it unboundedly.
-const FAILED_BOUND: usize = 64;
-
 #[derive(Debug)]
 struct Shared {
-    results: LruCache,
-    snapshots: LruCache,
-    in_flight: BTreeSet<u64>,
-    /// Deterministic failures (bad config, cycle limit, …) keyed like
-    /// results, so waiters on a failed flight get the error instead of
-    /// re-simulating into the same wall.
-    failed: std::collections::BTreeMap<u64, String>,
+    snapshots: LruCache<Arc<Vec<u8>>>,
+    /// Every tally except the result store's own (hits, coalesced,
+    /// simulations, result evictions), which `stats_reply` folds in.
     tally: ServerStats,
     phases: ServerPhaseStats,
 }
@@ -94,8 +86,9 @@ struct Shared {
 pub struct Server {
     base: GpuConfig,
     options: ServeOptions,
+    /// Encoded `RunStats` by result key; failures memoized as messages.
+    results: ResultStore<Arc<Vec<u8>>, String>,
     state: Mutex<Shared>,
-    settled: Condvar,
     quit: AtomicBool,
 }
 
@@ -106,15 +99,12 @@ impl Server {
         Self {
             base,
             options,
+            results: ResultStore::new(options.result_cache),
             state: Mutex::new(Shared {
-                results: LruCache::new(options.result_cache),
                 snapshots: LruCache::new(options.snapshot_cache),
-                in_flight: BTreeSet::new(),
-                failed: std::collections::BTreeMap::new(),
                 tally: ServerStats::default(),
                 phases: ServerPhaseStats::default(),
             }),
-            settled: Condvar::new(),
             quit: AtomicBool::new(false),
         }
     }
@@ -130,7 +120,7 @@ impl Server {
     }
 
     /// Locks the shared state, recovering from poisoning: every
-    /// critical section below leaves the maps internally consistent,
+    /// critical section below leaves the cache and tallies consistent,
     /// so a worker that panicked elsewhere must not wedge the daemon.
     fn lock_state(&self) -> MutexGuard<'_, Shared> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -168,12 +158,17 @@ impl Server {
     }
 
     /// Everything a [`Request::Stats`] frame reports: the tallies plus
-    /// the per-phase latency histograms, read in one critical section
-    /// so the reply is a coherent snapshot.
+    /// the per-phase latency histograms. Once no request is in flight
+    /// the reply is exact; during one, a request's store tallies may
+    /// land before its phase timings.
     pub fn stats_reply(&self) -> StatsReply {
+        let store = self.results.tallies();
         let st = self.lock_state();
         let mut tally = st.tally;
-        tally.result_evictions = st.results.evictions();
+        tally.cache_hits = store.hits;
+        tally.coalesced = store.coalesced;
+        tally.simulations = store.simulations;
+        tally.result_evictions = store.evictions;
         tally.snapshot_evictions = st.snapshots.evictions();
         StatsReply {
             tallies: tally,
@@ -201,8 +196,9 @@ impl Server {
         st.tally.errors += 1;
     }
 
-    /// Serves one simulate request: resolve, key, then cache-hit /
-    /// join-in-flight / lead-a-fresh-run.
+    /// Serves one simulate request: resolve, key, then answer from the
+    /// result store, which hits, joins an in-flight run, or leads a
+    /// fresh one.
     fn satisfy(&self, req: &SimulateRequest) -> Result<SimOutcome, String> {
         let kernel = kernel_by_name(&req.kernel)
             .ok_or_else(|| format!("unknown kernel `{}`", req.kernel))?;
@@ -214,90 +210,52 @@ impl Server {
         if let Some(n) = req.num_sms {
             base.num_sms = n;
         }
-        let runner = Runner::new(base, PowerModel::gtx480(), req.options);
-        let (config, mut governor) = runner.system_setup(req.system);
+        let (config, mut governor) = system_setup(&base, req.system);
         let key = hash::result_key(&config, &kernel, &req.options, req.system, req.warm_epochs);
 
-        // Single-flight claim. Either return a memoized result (or
-        // memoized failure), or leave the loop as the flight's leader.
-        // The lookup phase spans the whole claim, so for coalesced
+        // The lookup phase spans the store's claim, so for coalesced
         // followers it includes the wait on the in-flight leader — by
         // design: that wait is exactly the latency a hit-after-flight
-        // costs the client.
-        let mut waited = false;
+        // costs the client. A leader's lookup ends where its run starts.
         // lint: allow(no-wallclock) -- phase timing only (see elapsed_ns); never feeds keys or results
         let lookup_start = Instant::now();
+        let mut lookup_ns = 0;
+        let mut sim_ns = 0;
+        let mut led = None;
+        let (stats_bytes, ran) = self.results.get_or_run(key, || {
+            lookup_ns = elapsed_ns(lookup_start);
+            // lint: allow(no-wallclock) -- phase timing only (see elapsed_ns); never feeds keys or results
+            let sim_start = Instant::now();
+            let ran = self.drive_to_completion(&config, &kernel, req, governor.as_mut());
+            sim_ns = elapsed_ns(sim_start);
+            let (bytes, warm_hit, windows) = ran?;
+            led = Some((warm_hit, windows));
+            Ok(Arc::new(bytes))
+        });
+        if !ran {
+            lookup_ns = elapsed_ns(lookup_start);
+        }
         {
             let mut st = self.lock_state();
-            loop {
-                if let Some(bytes) = st.results.lookup(key) {
-                    if waited {
-                        st.tally.coalesced += 1;
-                    } else {
-                        st.tally.cache_hits += 1;
-                    }
-                    st.phases.cache_lookup.record(elapsed_ns(lookup_start));
-                    return Ok(SimOutcome {
-                        config_hash: key,
-                        cached: true,
-                        warm_hit: false,
-                        stats_bytes: bytes.to_vec(),
-                    });
+            st.phases.cache_lookup.record(lookup_ns);
+            if ran {
+                st.phases.simulate.record(sim_ns);
+            }
+            if let Some((warm_hit, windows)) = led {
+                st.tally.batched_ticks += windows.batched_ticks;
+                st.tally.fused_ticks += windows.fused_ticks;
+                st.tally.mem_horizon_closes += windows.mem_horizon_closes;
+                if warm_hit {
+                    st.tally.warm_hits += 1;
                 }
-                if let Some(msg) = st.failed.get(&key) {
-                    let msg = msg.clone();
-                    st.phases.cache_lookup.record(elapsed_ns(lookup_start));
-                    return Err(msg);
-                }
-                if st.in_flight.insert(key) {
-                    st.phases.cache_lookup.record(elapsed_ns(lookup_start));
-                    break;
-                }
-                waited = true;
-                st = self
-                    .settled
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
-
-        // Leader: simulate with no lock held, publish, wake waiters.
-        // lint: allow(no-wallclock) -- phase timing only (see elapsed_ns); never feeds keys or results
-        let sim_start = Instant::now();
-        let ran = self.drive_to_completion(&config, &kernel, req, governor.as_mut());
-        let sim_ns = elapsed_ns(sim_start);
-        let outcome = {
-            let mut st = self.lock_state();
-            st.phases.simulate.record(sim_ns);
-            st.in_flight.remove(&key);
-            match ran {
-                Ok((stats_bytes, warm_hit, windows)) => {
-                    st.results.store(key, Arc::new(stats_bytes.clone()));
-                    st.tally.simulations += 1;
-                    st.tally.batched_ticks += windows.batched_ticks;
-                    st.tally.fused_ticks += windows.fused_ticks;
-                    st.tally.mem_horizon_closes += windows.mem_horizon_closes;
-                    if warm_hit {
-                        st.tally.warm_hits += 1;
-                    }
-                    Ok(SimOutcome {
-                        config_hash: key,
-                        cached: false,
-                        warm_hit,
-                        stats_bytes,
-                    })
-                }
-                Err(msg) => {
-                    if st.failed.len() >= FAILED_BOUND {
-                        st.failed.clear();
-                    }
-                    st.failed.insert(key, msg.clone());
-                    Err(msg)
-                }
-            }
-        };
-        self.settled.notify_all();
-        outcome
+        Ok(SimOutcome {
+            config_hash: key,
+            cached: !ran,
+            warm_hit: led.is_some_and(|(warm_hit, _)| warm_hit),
+            stats_bytes: stats_bytes?.to_vec(),
+        })
     }
 
     /// Runs the simulation itself: cold from cycle 0, or warm-started

@@ -697,15 +697,17 @@ pub fn classify(rel: &Path) -> FileContext {
         _ => CodeKind::Bin,
     };
     // The harness is not globally strict (figure sweeps legitimately
-    // use wall clocks and std hash maps), but its serving layer is: a
+    // use wall clocks and std hash maps), but its memoization layer is —
+    // the serving layer and the result store every `Runner` uses: a
     // wall-clock read feeding the content-addressed ConfigHash, or an
     // iteration-order-dependent map in the cache, would silently break
     // result memoization. The banned-token rules enforce that.
-    let serve_layer =
-        crate_name == "harness" && rest.first() == Some(&"src") && rest.get(1) == Some(&"serve");
+    let memo_layer = crate_name == "harness"
+        && rest.first() == Some(&"src")
+        && matches!(rest.get(1), Some(&"serve") | Some(&"store.rs"));
     FileContext {
-        strict: STRICT_CRATES.contains(&crate_name) || serve_layer,
-        docs_required: DOCS_CRATES.contains(&crate_name) || serve_layer,
+        strict: STRICT_CRATES.contains(&crate_name) || memo_layer,
+        docs_required: DOCS_CRATES.contains(&crate_name) || memo_layer,
         kind,
     }
 }
@@ -1208,6 +1210,24 @@ fn route(_x: u32, _g: &mut Gwde) -> Vec<u32> {
             classify(Path::new("crates/harness/src/bin/sim_serve.rs")).kind,
             CodeKind::Bin
         );
+    }
+
+    #[test]
+    fn classify_makes_the_harness_result_store_strict() {
+        // The store every Runner memoizes through carries the same rules
+        // as the serving layer it was extracted from.
+        let ctx = classify(Path::new("crates/harness/src/store.rs"));
+        assert_eq!(ctx.kind, CodeKind::Lib);
+        assert!(ctx.strict && ctx.docs_required);
+        // Only that file: a sibling whose name merely starts alike, or a
+        // store.rs elsewhere in the harness, stays lax.
+        for path in [
+            "crates/harness/src/store_tools.rs",
+            "crates/harness/tests/store.rs",
+        ] {
+            let ctx = classify(Path::new(path));
+            assert!(!ctx.strict && !ctx.docs_required, "{path} is lax");
+        }
     }
 
     #[test]

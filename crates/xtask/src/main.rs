@@ -239,22 +239,27 @@ type CiStep<'a> = (&'a str, &'a [&'a str], &'a [(&'a str, &'a str)]);
 fn cmd_ci() -> i32 {
     let cargo = env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
 
-    // The test suite runs twice: serially, and with `SIM_THREADS=max`
-    // driving the engine's parallel two-phase stepping path wherever the
-    // harness runner is used. Both runs must pass — parallel stepping is
-    // bit-identical by contract, so any divergence is a real bug. The
-    // `validate` sanitizers also run under the thread pool.
+    // The test suite of every workspace crate runs twice: serially, and
+    // with `SIM_THREADS=max` driving the engine's parallel two-phase
+    // stepping path wherever the harness runner is used. Both runs must
+    // pass — parallel stepping is bit-identical by contract, so any
+    // divergence is a real bug. The `validate` sanitizers also run under
+    // the thread pool.
     let steps: &[CiStep] = &[
         ("build", &["build", "--release"], &[]),
-        ("test (serial)", &["test", "-q"], &[("SIM_THREADS", "1")]),
+        (
+            "test (serial)",
+            &["test", "-q", "--workspace"],
+            &[("SIM_THREADS", "1")],
+        ),
         (
             "test (parallel)",
-            &["test", "-q"],
+            &["test", "-q", "--workspace"],
             &[("SIM_THREADS", "max")],
         ),
         (
             "test (validate, parallel)",
-            &["test", "-q", "--features", "validate"],
+            &["test", "-q", "--workspace", "--features", "validate"],
             &[("SIM_THREADS", "max")],
         ),
     ];

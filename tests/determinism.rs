@@ -1,15 +1,30 @@
 //! The simulator is a deterministic instrument: identical inputs must
 //! produce bit-identical statistics, regardless of governor.
+//!
+//! A `Runner` memoizes its runs, so a replay on the same runner (or a
+//! clone) would only compare a result with itself. Every replay here runs
+//! on two independently built runners and checks that each simulated.
 
 use equalizer_core::Mode;
-use equalizer_harness::{Runner, System};
+use equalizer_harness::{Measurement, Runner, System};
+use equalizer_sim::kernel::KernelSpec;
 use equalizer_workloads::kernel_by_name;
 
+/// Runs `kernel` under `system` on two fresh runners, each of which must
+/// actually simulate.
+fn replay(kernel: &KernelSpec, system: System) -> (Measurement, Measurement) {
+    let run = || {
+        let r = Runner::gtx480();
+        let m = r.run(kernel, system).unwrap();
+        assert_eq!(r.store_stats().simulations, 1, "a fresh runner simulates");
+        m
+    };
+    (run(), run())
+}
+
 fn assert_identical(name: &str, system: System) {
-    let r = Runner::gtx480();
     let k = kernel_by_name(name).unwrap();
-    let a = r.run(&k, system).unwrap();
-    let b = r.run(&k, system).unwrap();
+    let (a, b) = replay(&k, system);
     assert_eq!(
         a.stats.wall_time_fs, b.stats.wall_time_fs,
         "{name} wall time"
@@ -29,6 +44,7 @@ fn assert_identical(name: &str, system: System) {
         "{name} cycle residency"
     );
     assert!((a.energy_j() - b.energy_j()).abs() < 1e-12, "{name} energy");
+    assert_eq!(a.stats, b.stats, "{name} full RunStats");
 }
 
 #[test]
@@ -58,7 +74,6 @@ fn dyncta_and_ccws_runs_are_deterministic() {
 /// histogram.
 #[test]
 fn cache_thrashing_replay_is_bit_identical() {
-    let r = Runner::gtx480();
     // Working sets far beyond the 256-line L1, with divergent loads:
     // every warp streams misses through the MSHRs for the whole run.
     let k = equalizer_workloads::cache_kernel(
@@ -80,8 +95,7 @@ fn cache_thrashing_replay_is_bit_identical() {
         System::Equalizer(Mode::Energy),
         System::Equalizer(Mode::Performance),
     ] {
-        let a = r.run(&k, system).unwrap();
-        let b = r.run(&k, system).unwrap();
+        let (a, b) = replay(&k, system);
         assert!(
             a.stats.dram_accesses() > 0,
             "the workload must actually thrash"

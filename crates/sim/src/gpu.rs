@@ -120,12 +120,13 @@ pub struct SimOptions {
     /// can reach an SM inside the window — and fully-stalled windows skip
     /// the per-cycle SM work entirely, bulk-applying the accounting in
     /// O(1). The issue stage also stops walking warps once its slots are
-    /// full (on cycles where the skipped classification is provably
+    /// full, and passes over memory-bound warps once its memory port is
+    /// closed (on cycles where the skipped classification is provably
     /// unobservable). Results are bit-identical on or off at any thread
     /// count and `max_batch_ticks` — the `cargo xtask ci` fast-forward
     /// gate enforces it — so this is purely a wall-clock knob. Off
     /// restores PR 6 behavior: windows only over an idle memory system,
-    /// full issue walks every cycle.
+    /// no fast-issue cuts.
     pub fast_forward: bool,
 }
 

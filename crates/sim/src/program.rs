@@ -173,7 +173,7 @@ pub struct Program {
     first_mem: Vec<Option<u32>>,
     /// Whether any segment contains a `Sync`. Barriers execute
     /// unconditionally in the issue walk (they consume no issue port), so
-    /// the fast-issue early exit must stay off for programs that have one.
+    /// the fast-issue cuts must stay off for programs that have one.
     has_sync: bool,
 }
 

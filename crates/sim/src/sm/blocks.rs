@@ -130,7 +130,8 @@ impl Sm {
     }
 
     /// Clears a warp barrier once every live warp of the block has either
-    /// arrived at it or finished.
+    /// arrived at it or finished, marking each released warp as an issue
+    /// candidate.
     pub(super) fn maybe_release_barrier(&mut self, block_slot: usize) {
         let Some(block) = self.blocks[block_slot].as_ref() else {
             return;
@@ -141,9 +142,10 @@ impl Sm {
                 .is_none_or(|w| w.finished || w.at_barrier)
         });
         if all_arrived {
-            for &ws in &block.warp_slots.clone() {
-                if let Some(w) = self.warps[ws].as_mut() {
+            for &ws in &block.warp_slots {
+                if let Some(w) = self.warps[ws].as_mut().filter(|w| w.at_barrier) {
                     w.at_barrier = false;
+                    self.cand.mark_slot(ws);
                 }
             }
         }

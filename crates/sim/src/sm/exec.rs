@@ -58,6 +58,9 @@ impl Sm {
                 return;
             };
             w.complete_load();
+            if w.pending_loads == 0 {
+                self.cand.mark_slot(ws);
+            }
             (w.finished && w.pending_loads == 0, w.block_slot)
         };
         if drained {

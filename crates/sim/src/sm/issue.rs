@@ -5,20 +5,175 @@
 //! `Waiting`, `ExcessAlu`, `ExcessMem` or `Others` — issuing up to
 //! `issue_width` instructions split across the ALU and memory ports.
 //!
+//! # The candidate set
+//!
+//! The walk does not visit every resident warp. It visits the positions
+//! of [`Candidates`], a bitset over `sched_order` positions with one
+//! invariant: it always holds a **superset of the warps that can act**
+//! this cycle. A warp can act if it is unfinished, not at a barrier, and
+//! either still counting down its launch stagger or scoreboard-ready
+//! ([`crate::warp::Warp::can_act`]). A warp that cannot act would only be
+//! classified `Others` or `Waiting` with no side effect, so skipping it
+//! changes nothing but the snapshot of an unsampled cycle, which no
+//! statistic reads (only `issued` and `active > 0 || busy()` are).
+//!
+//! Bits are set by:
+//! - `rebuild_order`, which marks every position;
+//! - the wake heap, when an ALU dependency's `ready_at` passes;
+//! - `deliver_load`, when a warp's `pending_loads` reaches zero;
+//! - `maybe_release_barrier`, for every warp it releases.
+//!
+//! Bits are cleared only when a visit finds the warp finished, at a
+//! barrier or scoreboard-blocked; a blocked warp with no pending loads
+//! then queues its `ready_at` on the wake heap. On sample cycles every
+//! position is marked first, so the sampled snapshot is complete. The
+//! walk re-reads the live bitset as it advances, so a barrier released
+//! mid-walk is seen exactly as by a full walk. Like `sched_order`, all of
+//! it is derived state: rebuilt with the order, never serialized.
+//!
+//! # Fast-issue cuts
+//!
+//! On cycles that are never sampled, with no launch stagger pending and
+//! a barrier-free program, the walk stops once the issue ports are
+//! exhausted, and skips every position whose next instruction is `Mem`
+//! once the memory port is closed (`max_mem_issue` reached or the LSU
+//! queue full): those warps could only be classified `ExcessMem`.
+//!
 //! The whole stage is part of the *local* phase of the two-phase cycle:
 //! it reads and writes only this SM's warps, scoreboard and LSU queue,
 //! so it is safe to run concurrently across SMs (enforced by the
-//! `no-shared-mut-in-local-phase` lint rule).
+//! `local-phase-purity` analysis).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::config::Femtos;
 use crate::counters::{CycleSnapshot, WarpState};
-use crate::program::Instr;
+use crate::program::{Instr, Program};
+use crate::warp::Warp;
 
 use super::{BlockState, LsuEntry, Sm};
 
+/// `pos` entry of a warp slot that has no scheduler position.
+const NO_POS: usize = usize::MAX;
+
+/// The issue walk's candidate set (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub(super) struct Candidates {
+    /// One bit per `sched_order` position: a superset of the warps that
+    /// can act this cycle.
+    live: Vec<u64>,
+    /// One bit per position whose warp's next instruction is `Mem`
+    /// (exact, since skipping a non-`Mem` warp could lose an issue).
+    mem_next: Vec<u64>,
+    /// Scheduler position of each warp slot, `NO_POS` if it has none.
+    pos: Vec<usize>,
+    /// Number of positions (`sched_order.len()`).
+    len: usize,
+    /// `(ready_at, warp slot)` of warps cleared while blocked only on an
+    /// ALU dependency; each is marked again once `ready_at` passes.
+    wake: BinaryHeap<Reverse<(Femtos, usize)>>,
+}
+
+impl Candidates {
+    /// Marks every position of `order` and records each warp's next
+    /// instruction kind.
+    fn rebuild(&mut self, order: &[usize], warps: &[Option<Warp>], program: Option<&Program>) {
+        let words = order.len().div_ceil(64);
+        self.live.clear();
+        self.live.resize(words, 0);
+        self.mem_next.clear();
+        self.mem_next.resize(words, 0);
+        self.pos.clear();
+        self.pos.resize(warps.len(), NO_POS);
+        self.wake.clear();
+        self.len = order.len();
+        self.mark_all();
+        for (p, &ws) in order.iter().enumerate() {
+            self.pos[ws] = p;
+            let mem = program
+                .zip(warps[ws].as_ref())
+                .is_some_and(|(program, warp)| next_is_mem(warp, program));
+            self.set_mem(p, mem);
+        }
+    }
+
+    /// Marks every position (sample cycles walk them all).
+    fn mark_all(&mut self) {
+        for (i, word) in self.live.iter_mut().enumerate() {
+            let bits = self.len.saturating_sub(i * 64).min(64);
+            *word = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
+        }
+    }
+
+    /// Marks warp slot `ws` as a candidate, if it has a position.
+    pub(super) fn mark_slot(&mut self, ws: usize) {
+        if let Some(&p) = self.pos.get(ws).filter(|&&p| p != NO_POS) {
+            self.live[p / 64] |= 1 << (p % 64);
+        }
+    }
+
+    fn clear(&mut self, p: usize) {
+        self.live[p / 64] &= !(1 << (p % 64));
+    }
+
+    fn set_mem(&mut self, p: usize, mem: bool) {
+        let bit = 1 << (p % 64);
+        if mem {
+            self.mem_next[p / 64] |= bit;
+        } else {
+            self.mem_next[p / 64] &= !bit;
+        }
+    }
+
+    #[cfg(feature = "validate")]
+    fn contains(&self, p: usize) -> bool {
+        self.live[p / 64] & (1 << (p % 64)) != 0
+    }
+
+    /// Marks every warp whose ALU dependency has resolved by `now`.
+    fn wake_due(&mut self, now: Femtos) {
+        while let Some(&Reverse((ready_at, ws))) = self.wake.peek() {
+            if ready_at > now {
+                break;
+            }
+            self.wake.pop();
+            self.mark_slot(ws);
+        }
+    }
+
+    /// The first candidate position at or after `from`, read from the
+    /// live bitset; with `skip_mem`, positions whose next instruction is
+    /// `Mem` are passed over.
+    fn next(&self, from: usize, skip_mem: bool) -> Option<usize> {
+        let mut wi = from / 64;
+        let mut mask = !0u64 << (from % 64);
+        while let Some(&word) = self.live.get(wi) {
+            let mut bits = word & mask;
+            if skip_mem {
+                bits &= !self.mem_next[wi];
+            }
+            if bits != 0 {
+                return Some(wi * 64 + bits.trailing_zeros() as usize);
+            }
+            wi += 1;
+            mask = !0;
+        }
+        None
+    }
+}
+
+/// Whether the warp's next instruction is a memory instruction.
+fn next_is_mem(warp: &Warp, program: &Program) -> bool {
+    matches!(
+        warp.pc.fetch(program, warp.block_index),
+        Some(Instr::Mem(_))
+    )
+}
+
 impl Sm {
     /// Rebuilds the oldest-block-first scheduler walk order over the
-    /// unpaused resident blocks.
+    /// unpaused resident blocks, and the candidate set over it.
     fn rebuild_order(&mut self) {
         self.sched_order.clear();
         let mut blocks: Vec<&BlockState> =
@@ -27,10 +182,12 @@ impl Sm {
         for b in blocks {
             self.sched_order.extend_from_slice(&b.warp_slots);
         }
+        self.cand
+            .rebuild(&self.sched_order, &self.warps, self.program.as_deref());
         self.order_dirty = false;
     }
 
-    /// The per-cycle issue stage: classifies every schedulable warp and
+    /// The per-cycle issue stage: classifies every candidate warp and
     /// issues up to the port limits, returning the cycle's warp-state
     /// snapshot. Blocks whose last warp finishes are appended to
     /// `completed_blocks` for the retire stage.
@@ -44,22 +201,23 @@ impl Sm {
         if self.order_dirty {
             self.rebuild_order();
         }
+        self.cand.wake_due(now);
+        let sampled = self.cycles.is_multiple_of(self.sample_interval);
+        if sampled {
+            self.cand.mark_all();
+        }
+        #[cfg(feature = "validate")]
+        for (p, &ws) in self.sched_order.iter().enumerate() {
+            crate::validate_assert!(
+                self.cand.contains(p) || self.warps[ws].as_ref().is_none_or(|w| !w.can_act(now)),
+                "SM {}: actionable warp slot {ws} missing from the candidate set",
+                self.id
+            );
+        }
         let mut snap = CycleSnapshot::default();
         let mut issued_total = 0usize;
         let mut issued_alu = 0usize;
         let mut issued_mem = 0usize;
-
-        // Fast-issue early exit: once the issue ports are exhausted, the
-        // rest of the walk can only classify warps into the snapshot —
-        // and on cycles that are never sampled, the statistics read only
-        // `issued`/`active`, both already nonzero by then. The exit must
-        // stay off while any warp is counting down its launch stagger
-        // (the walk decrements it unconditionally) and for programs with
-        // barriers (`Sync` executes without consuming an issue port).
-        let fast_cut = self.fast_issue
-            && self.staggered == 0
-            && self.program.as_deref().is_some_and(|p| !p.has_sync())
-            && !self.cycles.is_multiple_of(self.sample_interval);
 
         // No program means no resident warps; the scheduler walk below is
         // then a no-op, so skipping it keeps the statistics identical.
@@ -67,19 +225,39 @@ impl Sm {
         // take/put-back is two pointer copies where an `Arc` clone is two
         // atomic refcount operations. Nothing in the walk reads
         // `self.program` (restored before anything else can).
-        let program = self.program.take();
-        for oi in 0..self.sched_order.len() {
-            let Some(program) = program.as_deref() else {
-                break;
-            };
+        let Some(owned) = self.program.take() else {
+            return snap;
+        };
+        let program: &Program = &owned;
+
+        // Fast-issue cuts (module docs): once the issue ports are
+        // exhausted the rest of the walk could only classify warps, and
+        // once the memory port is closed a `Mem` warp could only be
+        // `ExcessMem` — and on cycles that are never sampled, the
+        // statistics read only `issued`/`active`, both already settled.
+        // The cuts stay off while any warp is counting down its launch
+        // stagger (the walk decrements it unconditionally) and for
+        // programs with barriers (`Sync` executes without consuming an
+        // issue port).
+        let fast_cut = self.fast_issue && self.staggered == 0 && !program.has_sync() && !sampled;
+
+        let mut from = 0;
+        loop {
             if fast_cut && issued_total >= self.issue_width {
                 break;
             }
+            let mem_closed =
+                fast_cut && (issued_mem >= self.max_mem_issue || self.lsu.len() >= self.lsu_cap);
+            let Some(oi) = self.cand.next(from, mem_closed) else {
+                break;
+            };
+            from = oi + 1;
             let ws = self.sched_order[oi];
             let Some(warp) = self.warps[ws].as_mut() else {
                 continue;
             };
             if warp.finished || warp.at_barrier {
+                self.cand.clear(oi);
                 snap.record(WarpState::Others);
                 continue;
             }
@@ -92,6 +270,10 @@ impl Sm {
                 continue;
             }
             if !warp.scoreboard_ready(now) {
+                self.cand.clear(oi);
+                if warp.pending_loads == 0 {
+                    self.cand.wake.push(Reverse((warp.ready_at, ws)));
+                }
                 snap.record(WarpState::Waiting);
                 continue;
             }
@@ -114,6 +296,7 @@ impl Sm {
                         if finished {
                             warp.finished = true;
                         }
+                        self.cand.set_mem(oi, next_is_mem(warp, program));
                         let block_slot = warp.block_slot;
                         self.events[li].issued += 1;
                         self.events[li].alu_ops += 1;
@@ -143,6 +326,7 @@ impl Sm {
                         if finished {
                             warp.finished = true;
                         }
+                        self.cand.set_mem(oi, next_is_mem(warp, program));
                         let (block_slot, uid) = (warp.block_slot, warp.uid);
                         self.events[li].issued += 1;
                         self.events[li].mem_instrs += 1;
@@ -168,6 +352,7 @@ impl Sm {
                     } else {
                         warp.at_barrier = true;
                     }
+                    self.cand.set_mem(oi, next_is_mem(warp, program));
                     let block_slot = warp.block_slot;
                     if finished {
                         self.check_block_done(block_slot, completed_blocks);
@@ -178,7 +363,57 @@ impl Sm {
                 }
             }
         }
-        self.program = program;
+        self.program = Some(owned);
         snap
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// 130 positions span three words; the SM simulations in the test
+    /// suites mostly stay within one.
+    #[test]
+    fn candidates_scan_across_words() {
+        let order: Vec<usize> = (0..130).collect();
+        let mut c = Candidates::default();
+        c.rebuild(&order, &vec![None; 130], None);
+        assert_eq!(c.next(0, false), Some(0));
+        assert_eq!(c.next(129, false), Some(129));
+        assert_eq!(c.next(130, false), None, "no bits past the order");
+
+        for p in (0..130).filter(|&p| p != 70 && p != 128) {
+            c.clear(p);
+        }
+        assert_eq!(c.next(0, false), Some(70));
+        assert_eq!(c.next(71, false), Some(128));
+        c.set_mem(70, true);
+        assert_eq!(c.next(0, true), Some(128), "memory-bound position skipped");
+        assert_eq!(c.next(0, false), Some(70), "but still a candidate");
+
+        c.wake.push(Reverse((50, 5)));
+        c.wake_due(49);
+        assert_eq!(c.next(0, false), Some(70), "dependency not yet resolved");
+        c.wake_due(50);
+        assert_eq!(c.next(0, false), Some(5));
+        assert!(c.wake.is_empty());
+
+        c.mark_all();
+        assert_eq!(c.live, [!0, !0, 0b11]);
+    }
+
+    #[test]
+    fn slots_without_a_position_are_ignored() {
+        let mut c = Candidates::default();
+        c.mark_slot(3); // before the first rebuild
+        c.rebuild(&[4, 2], &vec![None; 8], None);
+        for p in 0..2 {
+            c.clear(p);
+        }
+        c.mark_slot(3); // a slot of a paused block
+        assert_eq!(c.next(0, false), None);
+        c.mark_slot(2);
+        assert_eq!(c.next(0, false), Some(1));
     }
 }

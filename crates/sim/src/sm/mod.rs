@@ -111,6 +111,9 @@ pub struct Sm {
     launch_seq: u64,
     sched_order: Vec<usize>,
     order_dirty: bool,
+    /// The issue walk's candidate set over `sched_order` (see `issue`).
+    /// Derived like `sched_order`: rebuilt with it, never serialized.
+    cand: issue::Candidates,
 
     lsu: VecDeque<LsuEntry>,
     l1: Cache,
@@ -137,7 +140,7 @@ pub struct Sm {
     completed_scratch: Vec<usize>,
     ccws: Option<CcwsState>,
     blocks_completed: u64,
-    /// Issue-walk early exit armed (the engine sets this when
+    /// Issue-walk fast cuts armed (the engine sets this when
     /// [`crate::gpu::SimOptions::fast_forward`] is on). Not serialized:
     /// restore rebuilds the engine from its own options.
     fast_issue: bool,
@@ -172,6 +175,7 @@ impl Sm {
             launch_seq: 0,
             sched_order: Vec::with_capacity(config.max_warps_per_sm),
             order_dirty: true,
+            cand: issue::Candidates::default(),
             lsu: VecDeque::with_capacity(config.lsu_queue_cap),
             l1: Cache::new(config.l1),
             mshr: BTreeMap::new(),
@@ -195,10 +199,10 @@ impl Sm {
         }
     }
 
-    /// Arms the issue-walk early exit (engine-level `fast_forward` knob).
-    /// Observationally neutral: it only skips classification work after
-    /// the issue ports are exhausted, on cycles whose snapshot is never
-    /// sampled.
+    /// Arms the issue-walk fast cuts (engine-level `fast_forward` knob).
+    /// Observationally neutral: they only skip classification work after
+    /// the issue ports (or the memory port) are exhausted, on cycles
+    /// whose snapshot is never sampled.
     pub(crate) fn set_fast_issue(&mut self, on: bool) {
         self.fast_issue = on;
     }
@@ -608,8 +612,9 @@ impl Sm {
     /// Canonical forms: the MSHR `BTreeMap` iterates in key order and the
     /// local-hit heap is written as a sorted list, so two bit-identical
     /// machines encode to bit-identical bytes. The scheduler order cache
-    /// (`sched_order`) is skipped entirely — it is a pure function of the
-    /// resident blocks and is rebuilt on first use after decode.
+    /// (`sched_order`) and the issue candidate set are skipped entirely —
+    /// both are derived from the resident blocks and warps and are rebuilt
+    /// on first use after decode.
     pub(crate) fn encode_state(&self, w: &mut crate::snapshot::Writer) {
         w.usize(self.w_cta);
         w.usize(self.resident_limit);
@@ -791,7 +796,8 @@ impl Sm {
             };
         }
         self.launch_seq = r.u64()?;
-        // The cached scheduler order is not serialized; rebuild lazily.
+        // The cached scheduler order and candidate set are not
+        // serialized; rebuild lazily.
         self.order_dirty = true;
         // Like sched_order, the stagger census is derived state.
         self.staggered = self

@@ -66,6 +66,12 @@ impl Warp {
         !self.finished && !self.at_barrier
     }
 
+    /// Whether the issue stage can act on the warp at `now`: count down
+    /// its launch stagger or classify it ready to issue.
+    pub fn can_act(&self, now: Femtos) -> bool {
+        self.schedulable() && (self.stagger > 0 || self.scoreboard_ready(now))
+    }
+
     /// Delivers one returned load line.
     pub fn complete_load(&mut self) {
         // Sanitizer: the scoreboard must never release a register it did

@@ -23,7 +23,9 @@
 //!   with `SimOptions::fast_forward` on vs off under every governor,
 //!   ≥ 50% batched-tick coverage on a stall-heavy workload, and a
 //!   ≥ 1.5× median serial speedup on 15-SM `mri-q`; runs on any core
-//!   count), a parallel-speedup gate (regenerate `BENCH_sim.json` via
+//!   count), a benchmark golden check (the benchmark's unit tests, then
+//!   its `sweep-memory` workload at seed 0 must report
+//!   `"correct":true`), a parallel-speedup gate (regenerate `BENCH_sim.json` via
 //!   the `perf_micro` bench and assert `parallel/mri-q` beats
 //!   `baseline-15sm/mri-q` by ≥2×; skipped loudly on hosts with fewer
 //!   than 4 cores, where the pool can only add overhead), and a
@@ -367,6 +369,25 @@ fn cmd_ci() -> i32 {
         return 1;
     }
 
+    // Golden-digest gate: the repository benchmark checks every
+    // simulation's `RunStats` digest against `benchmark/golden/` at seed
+    // 0, so hot-path rewrites that change any result fail here. Runs the
+    // benchmark's own unit tests first; edits nothing under `benchmark/`.
+    if !run_step(
+        &cargo,
+        "benchmark unit tests",
+        &["test", "-q", "--manifest-path", "benchmark/Cargo.toml"],
+    ) {
+        return 1;
+    }
+    match run_benchmark_golden(&cargo) {
+        Ok(msg) => println!("==> benchmark golden: {msg}"),
+        Err(msg) => {
+            eprintln!("==> benchmark golden failed: {msg}");
+            return 1;
+        }
+    }
+
     // Parallel-speedup gate: the partitioned pool must actually win on
     // a wide host. Regenerate the micro-benchmark (it rewrites
     // `BENCH_sim.json` at the workspace root) and assert the
@@ -441,6 +462,57 @@ fn cmd_ci() -> i32 {
 
     println!("==> ci: all steps passed");
     0
+}
+
+/// Runs the benchmark's `sweep-memory` workload at seed 0 and requires
+/// its result line to report `"correct":true` (every digest matches the
+/// golden file).
+fn run_benchmark_golden(cargo: &str) -> Result<String, String> {
+    let args = [
+        "run",
+        "--release",
+        "--quiet",
+        "--manifest-path",
+        "benchmark/Cargo.toml",
+        "--",
+        "run",
+        "--workload",
+        "sweep-memory",
+        "--seed",
+        "0",
+        "--out",
+        "target/benchmark-golden",
+    ];
+    println!("==> benchmark golden: cargo {}", args.join(" "));
+    let out = Command::new(cargo)
+        .args(args)
+        .current_dir(workspace_root())
+        .output()
+        .map_err(|err| format!("failed to start: {err}"))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    if !out.status.success() {
+        return Err(format!(
+            "{}\n{stdout}{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        ));
+    }
+    check_result_line(&stdout)
+}
+
+/// Checks the benchmark's last output line, one JSON object, for
+/// `"correct":true`; returns that line.
+fn check_result_line(stdout: &str) -> Result<String, String> {
+    let last = stdout
+        .lines()
+        .rev()
+        .find(|l| !l.trim().is_empty())
+        .unwrap_or_default();
+    if last.starts_with('{') && last.contains("\"correct\":true") {
+        Ok(last.to_string())
+    } else {
+        Err(format!("result line is not correct:true: {last}"))
+    }
 }
 
 /// Minimum `baseline-15sm/mri-q` over `parallel/mri-q` mean-time ratio
@@ -624,7 +696,19 @@ fn run_serve_smoke(root: &Path) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::bench_mean_ns;
+    use super::{bench_mean_ns, check_result_line};
+
+    #[test]
+    fn result_line_must_report_correct() {
+        let ok = "wall_s 7.7 s\n{\"correct\":true,\"attempted\":48}\n";
+        assert_eq!(
+            check_result_line(ok),
+            Ok("{\"correct\":true,\"attempted\":48}".to_string())
+        );
+        assert!(check_result_line("{\"correct\":false,\"attempted\":48}\n").is_err());
+        assert!(check_result_line("{\"correct\":true}\nwall_s 7.7 s\n").is_err());
+        assert!(check_result_line("").is_err());
+    }
 
     #[test]
     fn bench_mean_ns_parses_the_timing_report_shape() {

@@ -27,12 +27,12 @@ use equalizer_sim::util::{mix64, SplitMix64};
 /// Fixed seed: change only deliberately, and re-record the table.
 const SEED: u64 = 0x00D1_6E57_0013;
 
-/// Random kernels per run (the texture and memory kernels come on top).
+/// Random kernels per run (three fixed kernels come on top).
 const RANDOM_KERNELS: usize = 5;
 
 /// Digests recorded on the pre-change simulator, one per (kernel,
 /// governor) pair in [`cases`] order: kernels outer, [`GOVERNORS`] inner.
-const EXPECTED: [u64; 42] = [
+const EXPECTED: [u64; 48] = [
     0xd44352159d827f4f,
     0xd44352159d827f4f,
     0xd44352159d827f4f,
@@ -69,6 +69,12 @@ const EXPECTED: [u64; 42] = [
     0x239353c13b288125,
     0x05b1086aeb7fe4b2,
     0xaf659ad44e2f92ed,
+    0x529e3dc8d05e770d,
+    0xed3c372ef14e1d6b,
+    0x9c23f9c39e4a0164,
+    0xe30858cba4fa5990,
+    0x529e3dc8d05e770d,
+    0x8a57be5f4871a95e,
     0x3dfdbb524f6bdd6c,
     0xcd522271b3878b08,
     0xea5648c65b472588,
@@ -210,6 +216,29 @@ fn texture_kernel() -> KernelSpec {
     )
 }
 
+/// A barrier-free kernel of 16-warp blocks: up to 128 resident warps.
+fn wide_kernel() -> KernelSpec {
+    KernelSpec::new(
+        "digest-wide",
+        KernelCategory::Memory,
+        16,
+        8,
+        vec![Invocation {
+            grid_blocks: 20,
+            program: Arc::new(Program::new(vec![Segment::new(
+                vec![
+                    Instr::alu(),
+                    Instr::load_streaming(),
+                    Instr::alu_dep(),
+                    store(),
+                    Instr::alu(),
+                ],
+                25,
+            )])),
+        }],
+    )
+}
+
 /// A bandwidth-bound kernel of two-warp blocks.
 fn memory_kernel() -> KernelSpec {
     KernelSpec::new(
@@ -240,6 +269,10 @@ fn cases() -> Vec<(GpuConfig, KernelSpec)> {
     let mut config = GpuConfig::gtx480();
     config.num_sms = 2;
     out.push((config.clone(), texture_kernel()));
+    // More warps than one 64-bit word of scheduler positions holds.
+    let mut wide = config.clone();
+    wide.max_warps_per_sm = 128;
+    out.push((wide, wide_kernel()));
     // Starved DRAM: the LD/ST queues back up, so Equalizer sees X_mem
     // above W_cta and pauses blocks.
     config.dram_bytes_per_cycle = 16;

@@ -23,8 +23,8 @@
 //!    load drift cancels) with fast-forward on.
 //!
 //! Runs entirely in-process; `cargo xtask ci` invokes it on every host
-//! (unlike the parallel-speedup gate, a single core is enough — the
-//! fast path is about skipping work, not spreading it).
+//! (a single core is enough — the fast path is about skipping work, not
+//! spreading it).
 
 use std::process::ExitCode;
 use std::sync::Arc;

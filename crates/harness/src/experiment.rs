@@ -140,12 +140,15 @@ pub struct Runner {
 /// whole suite single-threaded.
 ///
 /// Each thread becomes one fixed SM partition of the engine's lock-free
-/// worker pool (the count is clamped to the SM count downstream). Thread
-/// count never changes results — the partitioned two-phase cycle is
-/// bit-identical at any setting — so this is purely a wall-clock knob,
-/// which is why an env var (rather than config plumbing through every
-/// call site) is acceptable here. Use `max` on multi-core hosts; on a
-/// single-core host extra partitions only add dispatch overhead (see the
+/// worker pool (the count is clamped to the SM count downstream). The
+/// workers run only batched windows; per-tick steps stay on the engine
+/// thread, and per-SM-VRM machines spawn no workers. Thread count never
+/// changes results — the partitioned windows are bit-identical at any
+/// setting — so this is purely a wall-clock knob, which is why an env
+/// var (rather than config plumbing through every call site) is
+/// acceptable here. Windows cover a minority of ticks on most kernels,
+/// so expect at most a modest gain on multi-core hosts; on a single-core
+/// host extra partitions only add dispatch overhead (see the
 /// `sweep/mri-q-t*` rows in `BENCH_sim.json`).
 ///
 /// # Errors
@@ -210,8 +213,8 @@ impl Runner {
     /// A runner over the paper's baseline GTX 480 configuration.
     ///
     /// Honours `SIM_THREADS` (see [`sim_threads_from_env`]) so CI can
-    /// exercise the whole suite under the parallel stepping path, and
-    /// `SIM_SPIN_LIMIT` (see [`sim_spin_limit_from_env`]) for the
+    /// exercise the whole suite with batched windows on the worker pool,
+    /// and `SIM_SPIN_LIMIT` (see [`sim_spin_limit_from_env`]) for the
     /// spin-vs-park crossover of the pool's waits.
     ///
     /// # Panics

@@ -23,14 +23,16 @@
 //!
 //! Parallel stepping is deterministic too. Each SM tick is split into a
 //! *local* phase ([`Sm::cycle_local`]) that touches only per-SM state and
-//! a serial *commit* phase ([`Sm::commit`]) executed in the rotated
-//! service order, where interconnect arbitration, back-pressure and GWDE
-//! dispatch are resolved. The SMs live in fixed per-worker partitions
-//! owned by the [`SmPool`] (no locks anywhere on the hot path — dispatch
-//! is an atomic epoch-counter hand-off), only the local phase runs on
-//! the workers, and the partition of an SM is a pure function of its
-//! index — so every [`SimOptions::threads`] value yields bit-identical
-//! results; `tests/parallel_determinism.rs` pins that property.
+//! a *commit* phase ([`Sm::commit`]) where interconnect arbitration,
+//! back-pressure and GWDE dispatch are resolved. Per-tick steps run
+//! whole on the engine thread ([`Sm::cycle`]: drain, local phase,
+//! commit) in the rotated service order. The SMs live in fixed
+//! partitions owned by the [`SmPool`], whose workers take only batched
+//! windows (no locks anywhere on the hot path — dispatch is an atomic
+//! epoch-counter hand-off), and the partition of an SM is a pure
+//! function of its index — so every [`SimOptions::threads`] value yields
+//! bit-identical results; `tests/parallel_determinism.rs` pins that
+//! property.
 //!
 //! On top of the per-tick schedule the engine *batches* SM ticks: when
 //! it can prove that a window of `w` cycles contains no cross-SM
@@ -38,7 +40,9 @@
 //! replays the clocks afterwards. In-window commits degenerate to pure
 //! per-SM statistics ([`Sm::account_cycle`]), so the window is exactly
 //! equivalent to `w` per-tick steps (see [`Engine::batched_ticks`] and
-//! the tick-batching test in `tests/parallel_determinism.rs`).
+//! the tick-batching test in `tests/parallel_determinism.rs`). Only
+//! windows fan out: a single tick's local work is smaller than the cost
+//! of moving an SM's state to a worker core and back.
 //!
 //! Under [`SimOptions::fast_forward`] (the default) the window proof is
 //! event-driven rather than quiescence-based: the memory system may be
@@ -63,7 +67,7 @@ use crate::gpu::{SimError, SimOptions};
 use crate::gwde::Gwde;
 use crate::kernel::KernelSpec;
 use crate::memsys::{MemLevelStats, MemSystem};
-use crate::pool::{Assignment, SmPool};
+use crate::pool::SmPool;
 use crate::sm::{Sm, SmLevelEvents};
 use crate::stats::{EpochRecord, InvocationStats, RunStats};
 use crate::telemetry::{BatchClose, BatchWindowStats, PoolStats, WindowBound};
@@ -360,7 +364,6 @@ pub struct Engine<'o> {
     observers: Vec<&'o mut dyn Observer>,
     observed: bool,
     block_scratch: Vec<u64>,
-    due: Vec<Assignment>,
 }
 
 impl fmt::Debug for Engine<'_> {
@@ -410,8 +413,14 @@ impl<'o> Engine<'o> {
         // Clamp the thread knob: more threads than SMs cannot help, and
         // 0/1 both mean serial. The engine thread always services one
         // partition itself, so `threads` counts it: serial and single-SM
-        // runs never spawn a worker.
-        let threads = options.threads.clamp(1, config.num_sms);
+        // runs never spawn a worker. Workers only ever run batched
+        // windows, so a machine that can never open one (per-SM VRMs, or
+        // batching disabled) spawns none either.
+        let threads = if can_batch(config, &options) {
+            options.threads.clamp(1, config.num_sms)
+        } else {
+            1
+        };
         let pool = SmPool::new(sms, threads - 1, options.spin_limit, options.profile);
         let mem = MemSystem::new(config);
         let nominal_sm_period = config.sm_clock.period_fs(VfLevel::Nominal);
@@ -444,7 +453,6 @@ impl<'o> Engine<'o> {
             observers: Vec::new(),
             observed: false,
             block_scratch: Vec::new(),
-            due: Vec::new(),
             config: config.clone(),
         })
     }
@@ -949,7 +957,7 @@ impl<'o> Engine<'o> {
         // Tick batching: when the engine can prove a window of `w >= 2`
         // SM cycles is free of cross-SM interaction, it executes the
         // whole window in one pool dispatch instead of `w` per-tick
-        // hand-offs. See `try_batched_window` for the proof
+        // steps. See `try_batched_window` for the proof
         // obligations. Either way the outcome feeds the batch-window
         // diagnostic: window size and bound on success, close reason on
         // the per-tick fallback.
@@ -992,15 +1000,21 @@ impl<'o> Engine<'o> {
             }
         }
 
-        // Collect the SMs due this tick, already in service order.
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
+        // Each due SM runs its whole cycle — inbox drain, local phase,
+        // commit — on the engine thread, in service order, so
+        // interconnect arbitration, back-pressure and GWDE dispatch
+        // resolve in one thread-count-independent order. Per-tick steps
+        // never fan out to the pool: handing a shard to a worker for one
+        // tick costs more than the tick's local work (DESIGN.md §3).
         if self.config.per_sm_vrm {
             for off in 0..n {
                 let i = (start + off) % n;
-                if self.sm_clocks[i].next_tick() == t {
-                    self.sm_clocks[i].tick();
-                    due.push((i, self.sm_clocks[i].level(), self.sm_clocks[i].period_fs()));
+                let clock = &mut self.sm_clocks[i];
+                if clock.next_tick() == t {
+                    clock.tick();
+                    let (level, period) = (clock.level(), clock.period_fs());
+                    let sm = self.pool.sm_mut(i);
+                    sm.cycle(t, level, period, &mut self.mem, &mut self.gwde);
                 }
             }
         } else {
@@ -1008,42 +1022,10 @@ impl<'o> Engine<'o> {
             let level = self.sm_clocks[0].level();
             let period = self.sm_clocks[0].period_fs();
             for off in 0..n {
-                due.push(((start + off) % n, level, period));
+                let sm = self.pool.sm_mut((start + off) % n);
+                sm.cycle(t, level, period, &mut self.mem, &mut self.gwde);
             }
         }
-
-        // The two-phase cycle. With live workers and more than one due
-        // SM: pre-drain every inbox serially (the per-SM response heaps
-        // are disjoint), hand the local phase to the partitions in one
-        // epoch-counter dispatch, then commit in service order so
-        // interconnect arbitration, back-pressure and GWDE dispatch
-        // resolve exactly as in a serial run. The serial path fuses the
-        // three stages per SM — the same schedule, since the phases of
-        // different SMs touch disjoint state.
-        if self.pool.has_workers() && due.len() > 1 {
-            for &(i, ..) in due.iter() {
-                self.mem.drain_ready(i, t, self.pool.sm_mut(i).inbox_mut());
-            }
-            if self.config.per_sm_vrm {
-                self.pool.dispatch_due(t, &due);
-            } else {
-                let (_, level, period) = due[0];
-                self.pool.dispatch_all(t, level, period, 1);
-            }
-            for &(i, level, _) in due.iter() {
-                self.pool
-                    .sm_mut(i)
-                    .commit(level, &mut self.mem, &mut self.gwde);
-            }
-        } else {
-            for &(i, level, period) in due.iter() {
-                let sm = self.pool.sm_mut(i);
-                self.mem.drain_ready(i, t, sm.inbox_mut());
-                sm.cycle_local(t, level, period);
-                sm.commit(level, &mut self.mem, &mut self.gwde);
-            }
-        }
-        self.due = due;
 
         if track_blocks {
             for i in 0..n {
@@ -1168,7 +1150,7 @@ impl<'o> Engine<'o> {
     /// runs as [`Engine::run_fused_window`]; the fused horizon is
     /// preferred whenever it is at least as long as the pool horizon.
     fn try_batched_window(&self) -> Result<(u64, WindowBound, bool), BatchClose> {
-        if self.config.per_sm_vrm || self.options.max_batch_ticks < 2 {
+        if !can_batch(&self.config, &self.options) {
             return Err(BatchClose::Disabled);
         }
         if self.sm_clocks[0].has_pending_transition() || self.mem_clock.has_pending_transition() {
@@ -1508,6 +1490,13 @@ impl<'o> Engine<'o> {
             &mut self.observers,
         );
     }
+}
+
+/// Whether the machine can ever open a batched window: per-SM VRMs
+/// drift the SM clocks apart, and `max_batch_ticks < 2` turns batching
+/// off.
+fn can_batch(config: &GpuConfig, options: &SimOptions) -> bool {
+    !config.per_sm_vrm && options.max_batch_ticks >= 2
 }
 
 /// Translates a governor request into a pending clock transition and

@@ -71,16 +71,20 @@ pub struct SimOptions {
     /// Record the per-epoch timeline in [`RunStats::epochs`]. This
     /// installs the engine's bundled [`crate::engine::Recorder`] observer.
     pub record_epochs: bool,
-    /// OS threads for the SM-domain local phase (two-phase stepping).
+    /// OS threads for batched SM windows.
     ///
     /// `0` and `1` both mean serial; values above the SM count are
     /// clamped. The SMs are sharded into `threads` fixed partitions (one
     /// serviced by the engine thread, the rest by persistent workers that
     /// synchronise on atomic epoch counters — no locks on the hot path).
-    /// Results are bit-identical for every value — the local phase only
-    /// touches per-SM state and the commit phase stays serial in the
-    /// rotated service order — so this is purely a wall-clock knob.
-    /// Workers are only spawned when the effective value exceeds 1.
+    /// Workers run only batched windows (see `max_batch_ticks`); every
+    /// per-tick step runs on the engine thread, because handing a shard
+    /// to a worker for one tick costs more than the tick's local work.
+    /// Results are bit-identical for every value — a window's local
+    /// phase only touches per-SM state — so this is purely a wall-clock
+    /// knob. Workers are only spawned when the effective value exceeds 1
+    /// and the machine can open windows: per-SM-VRM machines and
+    /// `max_batch_ticks < 2` run serially whatever this says.
     pub threads: usize,
     /// Upper bound on SM ticks per batched window.
     ///
@@ -94,12 +98,13 @@ pub struct SimOptions {
     /// is purely a wall-clock knob. Values below 2 disable batching.
     pub max_batch_ticks: u64,
     /// Spin iterations before a waiting pool thread parks (workers
-    /// waiting for the next dispatch generation) or downgrades to
-    /// `yield_now` (the engine waiting for partition completion).
+    /// waiting for the next window) or downgrades to `yield_now` (the
+    /// engine waiting for partition completion).
     ///
     /// Low values hand the core back quickly on oversubscribed hosts;
     /// high values keep the hand-off latency in the nanosecond range on
-    /// idle ones. Results are bit-identical for every value — the knob
+    /// idle ones. Only runs with pool workers (see `threads`) wait at
+    /// all. Results are bit-identical for every value — the knob
     /// only moves the spin-vs-park crossover — so this is purely a
     /// wall-clock knob, tunable via `SIM_SPIN_LIMIT` in the harness.
     pub spin_limit: u32,

@@ -1,8 +1,8 @@
-//! Lock-free partitioned storage and worker pool for parallel SM
-//! stepping.
+//! Lock-free partitioned storage for every SM, and a worker pool that
+//! steps batched windows in parallel.
 //!
-//! [`SmPool`] owns **all** SM state for a run — serial and parallel
-//! paths alike — split into `threads` fixed partitions: SM `i` lives in
+//! [`SmPool`] owns **all** SM state for a run — per-tick and windowed
+//! steps alike — split into `threads` fixed partitions: SM `i` lives in
 //! partition `i % nparts` at local index `i / nparts`. Partition 0 is
 //! serviced inline by the engine thread; partitions `1..nparts` each
 //! get a persistent worker thread that exclusively owns its shard for
@@ -32,22 +32,19 @@
 //! [`SimOptions::spin_limit`]: crate::gpu::SimOptions::spin_limit
 //! [`SimOptions::profile`]: crate::gpu::SimOptions::profile
 //!
-//! A dispatch runs one *job* per partition: the local phase of the
-//! two-phase cycle ([`Sm::cycle_local`]) for each due SM — either every
-//! owned SM at one `(level, period)` (shared-VRM machines), or a
-//! per-partition due list staged by the engine (per-SM VRMs). Batched
-//! windows (`ticks > 1`) additionally run the per-cycle statistics half
-//! of the commit ([`Sm::account_cycle`]) for each tick, which is legal
-//! exactly when the engine has proven no cross-SM interaction can occur
-//! in the window (see `Engine::try_batched_window`). With
-//! `SimOptions::fast_forward` (the default) that proof no longer
-//! requires a quiescent memory system: windows span memory-*active*
-//! cycles too, capped by the memory system's next-event horizon, so SMs
-//! with outstanding loads still step through the pool in bulk as long
-//! as no reply can land inside the window. Work assignment is
-//! a pure function of SM index and thread count, and the serial commit
-//! phase stays on the engine thread in the engine's own order, so no
-//! scheduling nondeterminism can leak into results.
+//! A dispatch runs one *job* per partition: a batched window of `ticks`
+//! SM cycles over every owned SM at one `(level, period)`, each tick
+//! being the local phase ([`Sm::cycle_local`]) plus the per-cycle
+//! statistics half of the commit ([`Sm::account_cycle`]). That is
+//! legal exactly when the engine has proven no cross-SM interaction
+//! can occur in the window (see `Engine::try_batched_window`); with
+//! `SimOptions::fast_forward` (the default) the proof admits a
+//! memory-*active* machine too, capped by the memory system's
+//! next-event horizon. Per-tick steps never come here: the engine runs
+//! them on its own thread through [`SmPool::sm_mut`], because handing a
+//! shard to a worker for a single tick costs more than the tick's
+//! local work. Work assignment is a pure function of SM index and
+//! thread count, so no scheduling nondeterminism can leak into results.
 //!
 //! A panic inside a worker (e.g. a `validate`-feature assertion) is
 //! caught, stashed in the partition's panic slot, and re-raised on the
@@ -62,9 +59,9 @@
 //! exactly one thread at a time, with the ownership hand-off ordered by
 //! an `Acquire` load observing a `Release` store.
 //!
-//! * Engine → worker: the engine writes the job descriptor and due
-//!   lists, then bumps `epoch` with `Release`. A worker only touches
-//!   its shard after observing the new generation with `Acquire`.
+//! * Engine → worker: the engine writes the job descriptor, then bumps
+//!   `epoch` with `Release`. A worker only touches its shard after
+//!   observing the new generation with `Acquire`.
 //! * Worker → engine: a worker finishes its job, then publishes
 //!   `done = epoch` with `Release`. The engine only touches worker
 //!   shards (or returns from a dispatch) after observing every
@@ -84,34 +81,25 @@ use crate::config::{Femtos, VfLevel};
 use crate::sm::Sm;
 use crate::telemetry::{PartitionStats, PoolStats};
 
-/// One due SM for the current tick: `(sm index, level, period_fs)`.
-pub(crate) type Assignment = (usize, VfLevel, Femtos);
-
-/// What one dispatch asks every partition to do.
+/// What one dispatch asks every partition to do: a window of `ticks`
+/// back-to-back SM cycles, each running `cycle_local` + `account_cycle`
+/// on every owned SM.
 #[derive(Clone, Copy)]
 struct JobDesc {
     /// Completion time of the first SM tick in the window.
     now: Femtos,
-    /// SM domain level for `all`-mode jobs.
+    /// SM domain level.
     level: VfLevel,
-    /// SM domain period for `all`-mode jobs.
+    /// SM domain period.
     period: Femtos,
-    /// SM ticks to run back-to-back (`> 1` only for proven-safe batched
-    /// windows; each tick runs `cycle_local` + `account_cycle`).
+    /// SM ticks to run back-to-back.
     ticks: u64,
-    /// `true`: every owned SM is due at (`level`, `period`); `false`:
-    /// use the partition's staged due list (per-SM VRM machines).
-    all: bool,
 }
 
 /// One partition: a shard of SMs owned by exactly one thread at a time.
 struct Partition {
     /// The owned SMs, local index `l` holding global SM `l * nparts + p`.
     sms: UnsafeCell<Vec<Sm>>,
-    /// Staged due list for `all = false` jobs: `(local index, level,
-    /// period)` in service order. Written by the engine before the
-    /// epoch bump, read by the owning thread during the job.
-    due: UnsafeCell<Vec<(usize, VfLevel, Femtos)>>,
     /// Panic payload caught during the last job, if any.
     panic: UnsafeCell<Option<Box<dyn std::any::Any + Send>>>,
     /// Generation number of the last completed job (`Release` by the
@@ -202,7 +190,6 @@ impl SmPool {
             .into_iter()
             .map(|shard| Partition {
                 sms: UnsafeCell::new(shard),
-                due: UnsafeCell::new(Vec::new()),
                 panic: UnsafeCell::new(None),
                 done: AtomicU64::new(0),
                 busy_ticks: AtomicU64::new(0),
@@ -217,7 +204,6 @@ impl SmPool {
                 level: VfLevel::Nominal,
                 period: 1,
                 ticks: 1,
-                all: true,
             }),
             epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -313,48 +299,19 @@ impl SmPool {
         unsafe { &mut (&mut *part.sms.get())[id / self.nparts] }
     }
 
-    /// Runs the local phase on every SM for `ticks` back-to-back SM
-    /// cycles starting at time `now` (shared-VRM machines: one level
-    /// and period for all). `ticks > 1` is a batched window: each tick
-    /// also runs the per-cycle statistics half of the commit, which the
-    /// caller must have proven safe (no cross-SM interaction possible
-    /// in the window). Blocks until every partition is done; worker
-    /// panics are re-raised here.
+    /// Runs a batched window of `ticks` back-to-back SM cycles on every
+    /// SM, the first ending at time `now`, all at one level and period.
+    /// Each tick runs the local phase and the per-cycle statistics half
+    /// of the commit, which the caller must have proven is the whole
+    /// commit (no cross-SM interaction possible in the window). Blocks
+    /// until every partition is done; worker panics are re-raised here.
     pub(crate) fn dispatch_all(&mut self, now: Femtos, level: VfLevel, period: Femtos, ticks: u64) {
-        let job = JobDesc {
+        self.dispatch(JobDesc {
             now,
             level,
             period,
             ticks,
-            all: true,
-        };
-        self.dispatch(job);
-    }
-
-    /// Runs the local phase for exactly the SMs in `due` (global
-    /// indices with per-SM levels/periods, as on per-SM-VRM machines)
-    /// at time `now`. Blocks until every partition is done; worker
-    /// panics are re-raised here.
-    pub(crate) fn dispatch_due(&mut self, now: Femtos, due: &[Assignment]) {
-        let nparts = self.nparts;
-        for p in 0..nparts {
-            // SAFETY: no dispatch in flight; engine-exclusive access.
-            unsafe { (*self.shared.parts[p].due.get()).clear() };
-        }
-        for &(i, level, period) in due {
-            let part = &self.shared.parts[i % nparts];
-            // SAFETY: as above — these writes are published to the
-            // worker by the Release epoch bump in `dispatch`.
-            unsafe { (*part.due.get()).push((i / nparts, level, period)) };
-        }
-        let job = JobDesc {
-            now,
-            level: VfLevel::Nominal,
-            period: 1,
-            ticks: 1,
-            all: false,
-        };
-        self.dispatch(job);
+        });
     }
 
     /// Publishes `job`, services partition 0 (and any dead partitions)
@@ -370,7 +327,7 @@ impl SmPool {
             for part in &self.shared.parts {
                 // SAFETY: no worker threads exist, so the engine thread
                 // owns every shard unconditionally.
-                let ticks = unsafe { run_job(&job, &mut *part.sms.get(), &*part.due.get()) };
+                let ticks = unsafe { run_job(&job, &mut *part.sms.get()) };
                 if profile {
                     part.busy_ticks.fetch_add(ticks, Ordering::Relaxed);
                     part.jobs.fetch_add(1, Ordering::Relaxed);
@@ -393,7 +350,7 @@ impl SmPool {
             if !self.live[p] {
                 // SAFETY: dead partitions are never touched by any
                 // worker; the engine owns them unconditionally.
-                let ticks = unsafe { run_job(&job, &mut *part.sms.get(), &*part.due.get()) };
+                let ticks = unsafe { run_job(&job, &mut *part.sms.get()) };
                 if profile {
                     part.busy_ticks.fetch_add(ticks, Ordering::Relaxed);
                     part.jobs.fetch_add(1, Ordering::Relaxed);
@@ -465,30 +422,19 @@ impl std::fmt::Debug for SmPool {
 /// thread currently owns the shard (worker, or engine for partition 0
 /// and dead partitions). Returns the SM ticks executed, for the
 /// profiling counters.
-fn run_job(job: &JobDesc, sms: &mut [Sm], due: &[(usize, VfLevel, Femtos)]) -> u64 {
-    if job.all {
-        for sm in sms.iter_mut() {
-            let mut t = job.now;
-            for tick in 0..job.ticks {
-                sm.cycle_local(t, job.level, job.period);
-                if job.ticks > 1 {
-                    // Batched window: the commit phase is skipped for
-                    // in-window ticks (the engine proved nothing can
-                    // interact), so its statistics half runs here.
-                    sm.account_cycle(job.level);
-                }
-                if tick + 1 < job.ticks {
-                    t += job.period;
-                }
+fn run_job(job: &JobDesc, sms: &mut [Sm]) -> u64 {
+    for sm in sms.iter_mut() {
+        let mut t = job.now;
+        for tick in 0..job.ticks {
+            sm.cycle_local(t, job.level, job.period);
+            // The engine proved the window's commits are statistics only.
+            sm.account_cycle(job.level);
+            if tick + 1 < job.ticks {
+                t += job.period;
             }
         }
-        sms.len() as u64 * job.ticks
-    } else {
-        for &(local, level, period) in due {
-            sms[local].cycle_local(job.now, level, period);
-        }
-        due.len() as u64
     }
+    sms.len() as u64 * job.ticks
 }
 
 /// The persistent worker body for partition `part`: spin (then park) on
@@ -534,7 +480,7 @@ fn worker_loop(shared: &Shared, part: usize) {
             // SAFETY: observing the new epoch with Acquire transferred
             // ownership of this partition's cells to this worker until
             // the Release `done` store below.
-            unsafe { run_job(&*shared.job.get(), &mut *cell.sms.get(), &*cell.due.get()) }
+            unsafe { run_job(&*shared.job.get(), &mut *cell.sms.get()) }
         }));
         match result {
             Ok(ticks) if profile => {
@@ -597,12 +543,12 @@ mod tests {
             // worker panics to forward.
             return;
         }
-        // Global index 5 maps to worker partition 1 at local index 1 —
-        // out of range for its single-SM shard — so the job panics on
-        // the worker thread and must resurface on the dispatching one.
-        let bad: Vec<Assignment> = vec![(5, VfLevel::Nominal, 1)];
+        // SM 1 lives in worker partition 1; its poisoned local-hit queue
+        // makes the job panic on the worker thread, and the panic must
+        // resurface on the dispatching one.
+        p.sm_mut(1).poison_local_ready();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.dispatch_due(1, &bad);
+            p.dispatch_all(1, VfLevel::Nominal, 1, 1);
         }));
         assert!(caught.is_err(), "worker panic must surface on dispatch");
         // The worker caught the panic and kept its loop alive: the pool
@@ -641,12 +587,5 @@ mod tests {
         assert_eq!(stats.busy_total(), 20);
         assert_eq!(stats.busy_imbalance(), (12, 8));
         assert!(stats.partitions.iter().all(|s| s.jobs == 1));
-
-        // A due-mode dispatch charges one tick per due SM.
-        let due: Vec<Assignment> = vec![(0, VfLevel::Nominal, 1), (1, VfLevel::Nominal, 1)];
-        p.dispatch_due(2, &due);
-        let stats = p.stats();
-        assert_eq!(stats.dispatches, 2);
-        assert_eq!(stats.busy_total(), 22);
     }
 }

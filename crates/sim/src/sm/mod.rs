@@ -291,10 +291,12 @@ impl Sm {
             && self.pending.is_none()
     }
 
-    /// The response inbox the engine pre-drains memory responses into
-    /// before the local phase runs.
-    pub(crate) fn inbox_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.inbox
+    /// Queues a local hit for a warp slot this SM does not have, so the
+    /// next [`Sm::cycle_local`] panics: lets pool tests force a panic on
+    /// a worker thread.
+    #[cfg(test)]
+    pub(crate) fn poison_local_ready(&mut self) {
+        self.local_ready.push(Reverse((0, usize::MAX)));
     }
 
     /// Current LD/ST-unit queue occupancy (pending line accesses).
@@ -315,12 +317,11 @@ impl Sm {
     /// Advances the SM by one cycle ending at `now` against the shared
     /// memory system and dispatcher.
     ///
-    /// Convenience wrapper over the two-phase pair: it pre-drains the
-    /// response inbox, runs [`Sm::cycle_local`] and immediately
-    /// [`Sm::commit`]s. The engine interleaves the same three steps per
-    /// SM when running serially, and separates the phases when the local
-    /// phase runs on the worker pool — both orders are byte-identical
-    /// because the local phase never touches shared state.
+    /// Drains the SM's ready responses into its inbox, runs
+    /// [`Sm::cycle_local`] and immediately [`Sm::commit`]s. This is the
+    /// engine's per-tick step for every due SM, run on the engine thread
+    /// in the rotated service order; only batched windows, which need no
+    /// commit, hand the local phase to the worker pool.
     pub fn cycle(
         &mut self,
         now: Femtos,
@@ -367,9 +368,9 @@ impl Sm {
     }
 
     /// Phase 2 of a cycle: the serial commit against shared state. The
-    /// engine calls this in the `mix64`-rotated service order, so
-    /// interconnect arbitration, back-pressure and GWDE block dispatch
-    /// are independent of how many threads ran the local phase.
+    /// engine calls this on its own thread in the `mix64`-rotated
+    /// service order, so interconnect arbitration, back-pressure and
+    /// GWDE block dispatch are independent of the thread count.
     pub fn commit(&mut self, level: VfLevel, mem: &mut MemSystem, gwde: &mut Gwde) {
         let li = level.index();
 

@@ -30,8 +30,8 @@ pub const WINDOW_SIZE_BUCKETS: usize = 11;
 /// and dead partitions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionStats {
-    /// SM ticks executed by this partition: one per due SM per
-    /// dispatched tick (batched windows count every in-window tick).
+    /// SM ticks executed by this partition: one per owned SM per
+    /// in-window tick of every batched window it ran.
     pub busy_ticks: u64,
     /// Jobs (dispatch generations) this partition has run.
     pub jobs: u64,
@@ -51,8 +51,8 @@ pub struct PartitionStats {
 pub struct PoolStats {
     /// Worker threads actually running (0 for a serial pool).
     pub workers: usize,
-    /// Dispatch generations published by the engine (inline dispatches
-    /// of a serial pool count too).
+    /// Dispatch generations published by the engine: one per non-fused
+    /// batched window (inline dispatches of a serial pool count too).
     pub dispatches: u64,
     /// Spin-loop iterations the engine spent waiting for partition
     /// completion before downgrading to `yield_now`.

@@ -104,7 +104,7 @@ fn mshr_pressure_is_thread_invariant() {
 #[test]
 fn per_sm_vrm_runs_are_thread_invariant() {
     // Per-SM VRMs drift the SM clocks apart, so different subsets of SMs
-    // are due each tick; the due list (and thus the commit order) must
+    // are due each tick; which SMs step (and thus the commit order) must
     // still be thread-count independent.
     let mut config = GpuConfig::gtx480();
     config.num_sms = 6;

@@ -163,3 +163,41 @@ fn batch_window_stats_are_thread_and_profile_invariant() {
         );
     }
 }
+
+#[test]
+fn pool_dispatches_once_per_window_and_never_per_tick() {
+    // Per-tick steps run on the engine thread; the pool takes only
+    // non-fused batched windows (fused ones need no SM pipeline at all).
+    let mut config = GpuConfig::gtx480();
+    config.num_sms = 6;
+    let kernel = kernel_by_name("mri-q").unwrap();
+    let options = SimOptions {
+        threads: 2,
+        profile: true,
+        ..SimOptions::default()
+    };
+    let (serial, _, _) = profiled_run(
+        &config,
+        &kernel,
+        SimOptions {
+            threads: 1,
+            ..options
+        },
+    );
+    let (stats, pool, windows) = profiled_run(&config, &kernel, options);
+    assert_eq!(stats, serial, "threads=2 diverged from threads=1");
+    assert!(windows.windows > windows.fused_windows, "pool windows open");
+    assert_eq!(
+        pool.dispatches,
+        windows.windows - windows.fused_windows,
+        "one dispatch per pool window, none per tick"
+    );
+
+    // Per-SM VRMs never open a window, so the pool spawns no worker and
+    // never dispatches.
+    config.per_sm_vrm = true;
+    let (_, pool, windows) = profiled_run(&config, &kernel, options);
+    assert_eq!(windows.windows, 0);
+    assert_eq!(pool.workers, 0);
+    assert_eq!(pool.dispatches, 0);
+}

@@ -6,9 +6,9 @@
 //!    and must never change simulated results. The gate runs the
 //!    memory-active tier-1 workload (`mri-q`, full 15-SM GTX 480) under
 //!    every governor family — static, Equalizer in both modes, DynCTA
-//!    and the CCWS baseline (which disables fused windows) — plus a
-//!    threaded-pool run, and requires `RunStats` equality between the
-//!    on and off runs of each pair. (`RunStats` equality deliberately
+//!    and the CCWS baseline (which disables fused windows) — and
+//!    requires `RunStats` equality between the on and off runs of each
+//!    pair. (`RunStats` equality deliberately
 //!    excludes the `batched_ticks` diagnostic.)
 //! 2. **Coverage.** On a stall-heavy workload — warps sleeping on
 //!    outstanding loads and long dependence chains, the shape the
@@ -18,7 +18,7 @@
 //!    cycle issues, so nearly every cycle must run the pipeline); for
 //!    them the gate only requires that fast-forward strictly beats the
 //!    quiescence-gated batching and reports the coverage it saw.
-//! 3. **Speedup.** Serial `mri-q` on the 15-SM machine must be at
+//! 3. **Speedup.** `mri-q` on the 15-SM machine must be at
 //!    least 1.5x faster (median over interleaved on/off pairs, so host
 //!    load drift cancels) with fast-forward on.
 //!
@@ -43,7 +43,7 @@ use equalizer_workloads::kernel_by_name;
 
 /// Minimum batched-tick share on the stall-heavy workload.
 const COVERAGE_TARGET: f64 = 0.50;
-/// Minimum median on/off speedup on serial 15-SM `mri-q`.
+/// Minimum median on/off speedup on 15-SM `mri-q`.
 const SPEEDUP_TARGET: f64 = 1.5;
 /// Interleaved on/off timing pairs for the speedup median.
 const SPEEDUP_PAIRS: usize = 5;
@@ -114,7 +114,7 @@ fn run() -> Result<(), String> {
     let config = GpuConfig::gtx480();
     let mri_q = kernel_by_name("mri-q").ok_or("mri-q missing from the workload catalog")?;
 
-    // --- 1. bit-identity across governors, thread counts, the knob.
+    // --- 1. bit-identity across governors and the knob.
     type Setup = (
         &'static str,
         fn(&GpuConfig) -> (GpuConfig, Box<dyn Governor>),
@@ -137,34 +137,24 @@ fn run() -> Result<(), String> {
         }),
     ];
     for (name, setup) in systems {
-        for threads in [1usize, 2] {
-            // The threaded pool path is exercised once (static); per
-            // governor it only re-times the same engine code paths.
-            if threads > 1 && *name != "static" {
-                continue;
-            }
-            let mut pair = Vec::new();
-            for fast_forward in [true, false] {
-                let (config, mut governor) = setup(&config);
-                let options = SimOptions {
-                    threads,
-                    fast_forward,
-                    ..SimOptions::default()
-                };
-                pair.push(simulate(&config, &mri_q, governor.as_mut(), options)?);
-            }
-            if pair[0].stats != pair[1].stats {
-                return Err(format!(
-                    "mri-q under `{name}` (threads={threads}): RunStats diverge \
-                     between fast-forward on and off"
-                ));
-            }
-            println!(
-                "identity {name:<17} threads={threads}  ok \
-                 (batched {} vs {} of {} SM ticks)",
-                pair[0].batched_ticks, pair[1].batched_ticks, pair[0].total_ticks
-            );
+        let mut pair = Vec::new();
+        for fast_forward in [true, false] {
+            let (config, mut governor) = setup(&config);
+            let options = SimOptions {
+                fast_forward,
+                ..SimOptions::default()
+            };
+            pair.push(simulate(&config, &mri_q, governor.as_mut(), options)?);
         }
+        if pair[0].stats != pair[1].stats {
+            return Err(format!(
+                "mri-q under `{name}`: RunStats diverge between fast-forward on and off"
+            ));
+        }
+        println!(
+            "identity {name:<17} ok (batched {} vs {} of {} SM ticks)",
+            pair[0].batched_ticks, pair[1].batched_ticks, pair[0].total_ticks
+        );
     }
 
     // --- 2. window coverage.
@@ -247,7 +237,7 @@ fn run() -> Result<(), String> {
     let median = ratios[ratios.len() / 2];
     if median < SPEEDUP_TARGET {
         return Err(format!(
-            "serial 15-SM mri-q median speedup {median:.2}x is under the \
+            "15-SM mri-q median speedup {median:.2}x is under the \
              {SPEEDUP_TARGET:.1}x target"
         ));
     }

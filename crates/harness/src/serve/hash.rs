@@ -22,11 +22,13 @@
 //! * The *resolved* configuration is folded — the one the harness's
 //!   `system_setup` actually hands the engine — because several
 //!   systems (static VF points, per-SM VRM, CCWS) modify it.
-//! * Every [`SimOptions`] field participates, including the wall-clock
-//!   -only knobs (`threads`, `max_batch_ticks`): `RunStats` *encodes*
-//!   `batched_ticks`, so byte-identity of cached results requires
-//!   keying on them. Exhaustive destructuring makes adding a field a
-//!   compile error until it is folded.
+//! * Every [`SimOptions`] field the engine reads participates, including
+//!   the wall-clock-only knobs (`max_batch_ticks`, `fast_forward`):
+//!   `RunStats` *encodes* `batched_ticks`, so byte-identity of cached
+//!   results requires keying on them. The ignored `threads` field is
+//!   left out, so requests differing only there share one result.
+//!   Exhaustive destructuring makes adding a field a compile error
+//!   until it is folded or explicitly ignored.
 //! * Nothing time-dependent enters the fold (the lint universe bans
 //!   `SystemTime` outright in this module tree), so a key computed
 //!   today matches the same request forever.
@@ -50,18 +52,13 @@ fn fold_options(fold: &mut Fold, options: &SimOptions) {
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        threads,
+        threads: _, // ignored by the engine
         max_batch_ticks,
-        spin_limit,
-        profile,
         fast_forward,
     } = *options;
     fold.add(max_cycles_per_invocation);
     fold.add(u64::from(record_epochs));
-    fold.add(threads as u64);
     fold.add(max_batch_ticks);
-    fold.add(u64::from(spin_limit));
-    fold.add(u64::from(profile));
     // Like max_batch_ticks: results are bit-identical either way, but the
     // encoded RunStats carry `batched_ticks`, so cached bytes must key on
     // anything that can change it.
@@ -170,6 +167,23 @@ mod tests {
         assert_ne!(
             key,
             result_key(&config, &kernel, &options, System::DynCta, 2)
+        );
+    }
+
+    #[test]
+    fn keys_ignore_the_thread_count() {
+        let (config, kernel, options) = parts();
+        let threaded = SimOptions {
+            threads: 4,
+            ..options
+        };
+        assert_eq!(
+            result_key(&config, &kernel, &options, System::DynCta, 0),
+            result_key(&config, &kernel, &threaded, System::DynCta, 0)
+        );
+        assert_eq!(
+            prefix_key(&config, &kernel, &options, 2),
+            prefix_key(&config, &kernel, &threaded, 2)
         );
     }
 

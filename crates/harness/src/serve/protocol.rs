@@ -48,7 +48,8 @@ pub struct SimulateRequest {
     pub seed: Option<u64>,
     /// Override the server's baseline SM count (`None` keeps it).
     pub num_sms: Option<usize>,
-    /// Simulation options, forwarded verbatim to the engine.
+    /// Simulation options, forwarded to the engine (except the ignored
+    /// `threads`, which is not sent).
     pub options: SimOptions,
     /// Which system drives the hardware.
     pub system: System,
@@ -397,18 +398,13 @@ fn put_options(w: &mut Writer, options: &SimOptions) {
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        threads,
+        threads: _, // ignored by the engine, so not sent
         max_batch_ticks,
-        spin_limit,
-        profile,
         fast_forward,
     } = *options;
     w.u64(max_cycles_per_invocation);
     w.bool(record_epochs);
-    w.usize(threads);
     w.u64(max_batch_ticks);
-    w.u32(spin_limit);
-    w.bool(profile);
     w.bool(fast_forward);
 }
 
@@ -416,11 +412,9 @@ fn get_options(r: &mut Reader<'_>) -> Result<SimOptions, SnapshotError> {
     Ok(SimOptions {
         max_cycles_per_invocation: r.u64()?,
         record_epochs: r.bool()?,
-        threads: r.usize()?,
         max_batch_ticks: r.u64()?,
-        spin_limit: r.u32()?,
-        profile: r.bool()?,
         fast_forward: r.bool()?,
+        ..SimOptions::default()
     })
 }
 
@@ -694,7 +688,8 @@ mod tests {
                 seed: Some(7),
                 num_sms: Some(4),
                 options: SimOptions {
-                    threads: 2,
+                    max_batch_ticks: 16,
+                    fast_forward: false,
                     ..SimOptions::default()
                 },
                 system,

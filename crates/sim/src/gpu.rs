@@ -71,52 +71,30 @@ pub struct SimOptions {
     /// Record the per-epoch timeline in [`RunStats::epochs`]. This
     /// installs the engine's bundled [`crate::engine::Recorder`] observer.
     pub record_epochs: bool,
-    /// OS threads for batched SM windows.
+    /// Ignored: the engine steps every SM on the calling thread, and no
+    /// code reads this field.
     ///
-    /// `0` and `1` both mean serial; values above the SM count are
-    /// clamped. The SMs are sharded into `threads` fixed partitions (one
-    /// serviced by the engine thread, the rest by persistent workers that
-    /// synchronise on atomic epoch counters — no locks on the hot path).
-    /// Workers run only batched windows (see `max_batch_ticks`); every
-    /// per-tick step runs on the engine thread, because handing a shard
-    /// to a worker for one tick costs more than the tick's local work.
-    /// Results are bit-identical for every value — a window's local
-    /// phase only touches per-SM state — so this is purely a wall-clock
-    /// knob. Workers are only spawned when the effective value exceeds 1
-    /// and the machine can open windows: per-SM-VRM machines and
-    /// `max_batch_ticks < 2` run serially whatever this says.
+    /// It survives only because the repository benchmark still sets it;
+    /// removing it waits for a change to the benchmark. Parallelism comes
+    /// from running independent simulations side by side (the harness's
+    /// `parallel_map`).
     pub threads: usize,
     /// Upper bound on SM ticks per batched window.
     ///
     /// When the engine can prove a window of cycles contains no cross-SM
-    /// interaction (all SMs and the memory system quiescent, no VF
-    /// transition pending, every schedulable warp far enough from its
-    /// next memory access and from program completion), it executes the
-    /// whole window in one dispatch instead of tick by tick. Batching
-    /// never changes simulated results — `tests/parallel_determinism.rs`
-    /// pins bit-identical stats with batching on and off — so this too
-    /// is purely a wall-clock knob. Values below 2 disable batching.
+    /// interaction (no VF transition pending, no memory response due,
+    /// every schedulable warp far enough from its next memory access and
+    /// from program completion), it executes the whole window at once
+    /// instead of tick by tick. Batching is meant never to change
+    /// simulated results — `tests/window_determinism.rs` pins
+    /// bit-identical stats against per-tick stepping — so this is a
+    /// wall-clock knob. One known defect breaks that: when an
+    /// invocation's last stores drain after its last block retired, a
+    /// window carries the idle machine to the next epoch boundary before
+    /// the invocation ends (`TERMINATION_OVERSHOOT` in
+    /// `tests/stats_digest.rs`). Values below 2 disable batching and give
+    /// the per-tick reference.
     pub max_batch_ticks: u64,
-    /// Spin iterations before a waiting pool thread parks (workers
-    /// waiting for the next window) or downgrades to `yield_now` (the
-    /// engine waiting for partition completion).
-    ///
-    /// Low values hand the core back quickly on oversubscribed hosts;
-    /// high values keep the hand-off latency in the nanosecond range on
-    /// idle ones. Only runs with pool workers (see `threads`) wait at
-    /// all. Results are bit-identical for every value — the knob
-    /// only moves the spin-vs-park crossover — so this is purely a
-    /// wall-clock knob, tunable via `SIM_SPIN_LIMIT` in the harness.
-    pub spin_limit: u32,
-    /// Count pool/dispatch profiling events ([`crate::telemetry::PoolStats`]).
-    ///
-    /// When set, the pool maintains relaxed atomic counters (per-partition
-    /// busy ticks, jobs, spin iterations, park events) readable through
-    /// `Engine::pool_stats`. The counters live entirely outside
-    /// [`crate::stats::RunStats`] and the snapshot codec, so results stay
-    /// bit-identical whether profiling is on or off; the only cost is a
-    /// handful of relaxed increments per dispatch. Off by default.
-    pub profile: bool,
     /// Event-driven fast-forward (DESIGN.md §13). On by default.
     ///
     /// When set, batch windows no longer require the memory system to be
@@ -127,9 +105,9 @@ pub struct SimOptions {
     /// O(1). The issue stage also stops walking warps once its slots are
     /// full, and passes over memory-bound warps once its memory port is
     /// closed (on cycles where the skipped classification is provably
-    /// unobservable). Results are bit-identical on or off at any thread
-    /// count and `max_batch_ticks` — the `cargo xtask ci` fast-forward
-    /// gate enforces it — so this is purely a wall-clock knob. Off
+    /// unobservable). Results are bit-identical on or off at any
+    /// `max_batch_ticks` — the `cargo xtask ci` fast-forward gate
+    /// enforces it — so this is purely a wall-clock knob. Off
     /// restores PR 6 behavior: windows only over an idle memory system,
     /// no fast-issue cuts.
     pub fast_forward: bool,
@@ -142,8 +120,6 @@ impl Default for SimOptions {
             record_epochs: true,
             threads: 1,
             max_batch_ticks: 1024,
-            spin_limit: 256,
-            profile: false,
             fast_forward: true,
         }
     }

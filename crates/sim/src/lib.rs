@@ -80,7 +80,6 @@ pub mod gpu;
 pub mod gwde;
 pub mod kernel;
 pub mod memsys;
-mod pool;
 pub mod program;
 pub mod sm;
 pub mod snapshot;
@@ -106,5 +105,5 @@ pub mod prelude {
         AddressPattern, Instr, IterProfile, MemInstr, MemSpace, Program, Segment,
     };
     pub use crate::stats::{EpochRecord, RunStats};
-    pub use crate::telemetry::{BatchWindowStats, PartitionStats, PoolStats};
+    pub use crate::telemetry::BatchWindowStats;
 }

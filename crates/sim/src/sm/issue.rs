@@ -41,7 +41,7 @@
 //!
 //! The whole stage is part of the *local* phase of the two-phase cycle:
 //! it reads and writes only this SM's warps, scoreboard and LSU queue,
-//! so it is safe to run concurrently across SMs (enforced by the
+//! so a batched window can run it without a commit (enforced by the
 //! `local-phase-purity` analysis).
 
 use std::cmp::Reverse;

@@ -291,14 +291,6 @@ impl Sm {
             && self.pending.is_none()
     }
 
-    /// Queues a local hit for a warp slot this SM does not have, so the
-    /// next [`Sm::cycle_local`] panics: lets pool tests force a panic on
-    /// a worker thread.
-    #[cfg(test)]
-    pub(crate) fn poison_local_ready(&mut self) {
-        self.local_ready.push(Reverse((0, usize::MAX)));
-    }
-
     /// Current LD/ST-unit queue occupancy (pending line accesses).
     pub fn lsu_occupancy(&self) -> usize {
         self.lsu.len()
@@ -319,9 +311,9 @@ impl Sm {
     ///
     /// Drains the SM's ready responses into its inbox, runs
     /// [`Sm::cycle_local`] and immediately [`Sm::commit`]s. This is the
-    /// engine's per-tick step for every due SM, run on the engine thread
-    /// in the rotated service order; only batched windows, which need no
-    /// commit, hand the local phase to the worker pool.
+    /// engine's per-tick step for every due SM, run in the rotated
+    /// service order; only batched windows, which need no commit, run
+    /// the local phase on its own.
     pub fn cycle(
         &mut self,
         now: Femtos,
@@ -341,7 +333,8 @@ impl Sm {
     /// CCWS mask refresh and the issue stage. Accesses that need the
     /// shared interconnect/texture queues are staged in
     /// [`PendingAccess`]; completed blocks are parked for the retire
-    /// stage. Safe to run concurrently across SMs.
+    /// stage. Touches no other SM, so a batched window can run it
+    /// back to back without a commit.
     pub fn cycle_local(&mut self, now: Femtos, level: VfLevel, period_fs: Femtos) {
         self.cycles += 1;
         let li = level.index();
@@ -368,9 +361,9 @@ impl Sm {
     }
 
     /// Phase 2 of a cycle: the serial commit against shared state. The
-    /// engine calls this on its own thread in the `mix64`-rotated
-    /// service order, so interconnect arbitration, back-pressure and
-    /// GWDE block dispatch are independent of the thread count.
+    /// engine calls it in the `mix64`-rotated service order, so
+    /// interconnect arbitration, back-pressure and GWDE block dispatch
+    /// resolve in one deterministic order.
     pub fn commit(&mut self, level: VfLevel, mem: &mut MemSystem, gwde: &mut Gwde) {
         let li = level.index();
 
@@ -399,8 +392,7 @@ impl Sm {
     /// when the engine has proven a window contains no staged access, no
     /// completed block and no VF transition, steps 5a/5b of the commit
     /// are no-ops and this is the *entire* observable effect of the
-    /// commit — it touches only this SM's own counters, so it is safe on
-    /// a worker thread.
+    /// commit — it touches only this SM's own counters.
     pub(crate) fn account_cycle(&mut self, level: VfLevel) {
         let snap = self.snapshot;
         if snap.active > 0 || self.busy() {
@@ -482,9 +474,9 @@ impl Sm {
     }
 
     /// The two batching horizons of this SM for a window whose first tick
-    /// completes at `first` (fixed `period_fs`): `(pool, fused)`.
+    /// completes at `first` (fixed `period_fs`): `(batched, fused)`.
     ///
-    /// `pool` bounds windows that still run [`Sm::cycle_local`] every
+    /// `batched` bounds windows that still run [`Sm::cycle_local`] every
     /// tick (the PR 6 discipline, relaxed to [`Sm::batch_ready`]): the
     /// minimum over schedulable warps of stagger/scoreboard delay plus
     /// [`Program::issue_runway`], so no shared-state event can occur
@@ -517,7 +509,7 @@ impl Sm {
             }
             None => u64::MAX,
         };
-        let mut pool_h = lr_cap;
+        let mut batched_h = lr_cap;
         let mut fused_h = if self.ccws.is_some() { 0 } else { lr_cap };
         for warp in self.warps.iter().flatten() {
             if warp.finished {
@@ -531,10 +523,10 @@ impl Sm {
             }
             if warp.at_barrier {
                 // Barrier release is SM-local and can happen in-window
-                // (pool only): bound by the runway from the advanced pc.
+                // (batched only): bound by the runway from the advanced pc.
                 // No fused constraint — release needs a sibling to
                 // execute `Sync`, and nothing issues in a fused window.
-                pool_h = pool_h.min(program.issue_runway(warp.pc, warp.block_index));
+                batched_h = batched_h.min(program.issue_runway(warp.pc, warp.block_index));
             } else if warp.pending_loads > 0 {
                 // Asleep on outstanding loads; inert for the whole window
                 // (see above).
@@ -545,14 +537,14 @@ impl Sm {
                     warp.ready_at,
                 ));
                 fused_h = fused_h.min(d);
-                pool_h =
-                    pool_h.min(d.saturating_add(program.issue_runway(warp.pc, warp.block_index)));
+                batched_h = batched_h
+                    .min(d.saturating_add(program.issue_runway(warp.pc, warp.block_index)));
             }
-            if pool_h < 2 && fused_h < 2 {
-                return (pool_h, fused_h);
+            if batched_h < 2 && fused_h < 2 {
+                return (batched_h, fused_h);
             }
         }
-        (pool_h, fused_h)
+        (batched_h, fused_h)
     }
 
     /// Bulk-applies `w` cycles in which this SM provably does nothing:

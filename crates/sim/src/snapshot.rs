@@ -30,9 +30,10 @@
 //! result-affecting field of the configuration, kernel and options, so
 //! restoring under a different machine fails up front with
 //! [`SnapshotError::MachineMismatch`] instead of silently diverging.
-//! Wall-clock-only knobs ([`SimOptions::threads`],
-//! [`SimOptions::max_batch_ticks`]) are excluded: a snapshot taken under
-//! one thread count restores bit-identically under any other.
+//! Wall-clock-only knobs ([`SimOptions::max_batch_ticks`],
+//! [`SimOptions::fast_forward`]) and the ignored
+//! [`SimOptions::threads`] are excluded: a snapshot taken with batching
+//! off restores bit-identically with it on.
 //!
 //! Canonical-form rules keep the bytes deterministic:
 //!
@@ -494,11 +495,10 @@ fn fold_clock_config(fold: &mut Fold, c: &ClockConfig) {
 /// Fingerprint of the machine a snapshot belongs to: configuration,
 /// kernel identity and every *result-affecting* option.
 ///
-/// `threads`, `max_batch_ticks`, `spin_limit` and `profile` are
-/// wall-clock-only knobs — the partitioned stepping path is
-/// bit-identical at any setting and the profiling counters live outside
-/// results — so they are deliberately excluded: a snapshot taken
-/// serially restores under the full worker pool (and vice versa). The
+/// `max_batch_ticks` and `fast_forward` are wall-clock-only knobs —
+/// every stepping path is bit-identical at any setting — and `threads`
+/// is ignored, so all three are deliberately excluded: a snapshot taken
+/// per-tick restores onto a batching engine (and vice versa). The
 /// exhaustive destructuring of [`SimOptions`] below keeps that
 /// exclusion a conscious decision when new options appear.
 pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &SimOptions) -> u64 {
@@ -508,10 +508,8 @@ pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &Si
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        threads: _,         // wall-clock only: partitioning never changes results
+        threads: _,         // ignored by the engine
         max_batch_ticks: _, // wall-clock only: batching never changes results
-        spin_limit: _,      // wall-clock only: spin-vs-park crossover
-        profile: _,         // wall-clock only: counters never touch results
         fast_forward: _,    // wall-clock only: fast-forward never changes results
     } = options;
     fold.add(*max_cycles_per_invocation);
@@ -793,15 +791,13 @@ mod tests {
         );
         let base = SimOptions::default();
         let fp = machine_fingerprint(&config, &kernel, &base);
-        let threaded = SimOptions {
+        let wall_clock_only = SimOptions {
             threads: 8,
             max_batch_ticks: 1,
-            spin_limit: 0,
-            profile: true,
             fast_forward: !base.fast_forward,
             ..base
         };
-        assert_eq!(fp, machine_fingerprint(&config, &kernel, &threaded));
+        assert_eq!(fp, machine_fingerprint(&config, &kernel, &wall_clock_only));
         let longer = SimOptions {
             max_cycles_per_invocation: base.max_cycles_per_invocation + 1,
             ..base

@@ -1,7 +1,6 @@
-//! Analyze fixture: `lock-order`. SM shards are owned by exactly one
-//! thread and hand off through atomic epoch counters, so everything
-//! reachable from a stepping hot-path root (`commit`, `worker_loop`,
-//! ...) must be lock-free: any `Mutex`/`RwLock` type or `.lock()`
+//! Analyze fixture: `lock-order`. The SM stepping hot path is
+//! single-threaded, so everything reachable from a stepping hot-path
+//! root (`commit`, `step_running`, ...) must be lock-free: any `Mutex`/`RwLock` type or `.lock()`
 //! acquisition is flagged at the offending line. Helpers that no root
 //! reaches — exporters, test scaffolding — may lock freely.
 
@@ -9,7 +8,7 @@ struct Shard {
     score: u64,
 }
 
-fn worker_loop(shards: &[Shard]) {
+fn step_running(shards: &[Shard]) {
     for s in shards {
         service(s);
     }

@@ -37,8 +37,10 @@
 //! the same metric name either.
 //!
 //! `no-shared-mut-in-local-phase` guards the simulator's two-phase cycle:
-//! `Sm::cycle_local` runs concurrently across SMs, so no function it can
-//! reach may take the shared memory system or block dispatcher mutably.
+//! batched windows run `Sm::cycle_local` on every SM with no commit in
+//! between, which is exact only if the local phase leaves shared state
+//! alone, so no function it can reach may take the shared memory system
+//! or block dispatcher mutably.
 //! The pass extracts `fn` definitions from the comment-stripped source,
 //! walks the call graph from every `cycle_local`, and flags reachable
 //! functions with a `&mut MemSystem` or `&mut Gwde` parameter. It runs
@@ -442,8 +444,9 @@ fn has_doc_above(scanned: &Scanned, item_idx: usize) -> bool {
     false
 }
 
-/// The root of the concurrent phase: every function reachable from a
-/// definition with this name runs while other SMs step in parallel.
+/// The root of the local phase: every function reachable from a
+/// definition with this name may run inside a batched window, with no
+/// commit in between.
 const LOCAL_PHASE_ROOT: &str = "cycle_local";
 
 /// Types shared across SMs that may only be mutated during the serial

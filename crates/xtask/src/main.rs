@@ -14,9 +14,7 @@
 //!   paths form one call-graph universe. Exits non-zero on error-severity
 //!   findings; warnings are advisory.
 //! * `cargo xtask ci` — the offline CI driver: release build, the test
-//!   suite twice (`SIM_THREADS=1` and `SIM_THREADS=max`, the latter
-//!   running batched windows on the engine's worker pool), the
-//!   `validate`-feature test suite under the thread pool, the lint pass,
+//!   suite, the `validate`-feature test suite, the lint pass,
 //!   the effect-analysis pass (its JSON report lands in
 //!   `target/analyze-report.json`), a `sim-report` artifact smoke test,
 //!   the fast-forward gate (`sim-ffcheck`: bit-identical `RunStats`
@@ -28,9 +26,9 @@
 //!   `"correct":true`), a `BENCH_sim.json` regeneration via the
 //!   `perf_micro` bench (an artifact, not a gate), a `sim-serve` smoke,
 //!   and a formatting check (skipped with a warning when rustfmt is
-//!   absent). The pool's contract — one dispatch per batched window and
-//!   identical `RunStats` at any thread count — is a tier-1 test in
-//!   `tests/telemetry.rs`, so both test runs above enforce it.
+//!   absent). Bit-identity of every fast path with per-tick stepping is
+//!   a tier-1 test (`tests/window_determinism.rs`), so both test runs
+//!   above enforce it.
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -211,16 +209,9 @@ fn cmd_analyze(args: &[String]) -> i32 {
 
 /// Runs one cargo step, streaming its output; returns success.
 fn run_step(cargo: &str, label: &str, args: &[&str]) -> bool {
-    run_step_env(cargo, label, args, &[])
-}
-
-/// Like [`run_step`], with extra environment variables for the child.
-fn run_step_env(cargo: &str, label: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
-    let prefix: String = envs.iter().map(|(k, v)| format!("{k}={v} ")).collect();
-    println!("==> {label}: {prefix}cargo {}", args.join(" "));
+    println!("==> {label}: cargo {}", args.join(" "));
     match Command::new(cargo)
         .args(args)
-        .envs(envs.iter().map(|&(k, v)| (k, v)))
         .current_dir(workspace_root())
         .status()
     {
@@ -236,38 +227,21 @@ fn run_step_env(cargo: &str, label: &str, args: &[&str], envs: &[(&str, &str)]) 
     }
 }
 
-/// One CI step: label, cargo arguments, extra environment.
-type CiStep<'a> = (&'a str, &'a [&'a str], &'a [(&'a str, &'a str)]);
-
 fn cmd_ci() -> i32 {
     let cargo = env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
 
-    // The test suite of every workspace crate runs twice: serially, and
-    // with `SIM_THREADS=max` handing batched windows to the engine's
-    // worker pool wherever the harness runner is used. Both runs must
-    // pass — parallel stepping is bit-identical by contract, so any
-    // divergence is a real bug. The `validate` sanitizers also run under
-    // the thread pool.
-    let steps: &[CiStep] = &[
-        ("build", &["build", "--release"], &[]),
+    // The test suite of every workspace crate runs twice: as is, and
+    // with the `validate` sanitizers armed.
+    let steps: &[(&str, &[&str])] = &[
+        ("build", &["build", "--release"]),
+        ("test", &["test", "-q", "--workspace"]),
         (
-            "test (serial)",
-            &["test", "-q", "--workspace"],
-            &[("SIM_THREADS", "1")],
-        ),
-        (
-            "test (parallel)",
-            &["test", "-q", "--workspace"],
-            &[("SIM_THREADS", "max")],
-        ),
-        (
-            "test (validate, parallel)",
+            "test (validate)",
             &["test", "-q", "--workspace", "--features", "validate"],
-            &[("SIM_THREADS", "max")],
         ),
     ];
-    for (label, args, envs) in steps {
-        if !run_step_env(&cargo, label, args, envs) {
+    for (label, args) in steps {
+        if !run_step(&cargo, label, args) {
             return 1;
         }
     }
@@ -348,8 +322,7 @@ fn cmd_ci() -> i32 {
     // Fast-forward gate: the event-driven batching must be invisible in
     // results and visible in wall clock. `sim-ffcheck` runs in-process
     // simulations asserting (1) RunStats bit-identity between
-    // `fast_forward` on and off under every governor family and a
-    // threaded pool run, (2) >= 50% batched-tick coverage on a
+    // `fast_forward` on and off under every governor family, (2) >= 50% batched-tick coverage on a
     // stall-heavy workload (and strictly-better-than-quiescence
     // coverage on the issue-saturated `mri-q`, which cannot reach 50%),
     // and (3) a >= 1.5x median serial speedup on 15-SM `mri-q` over
@@ -391,9 +364,8 @@ fn cmd_ci() -> i32 {
 
     // Regenerate the micro-benchmark table (it rewrites
     // `BENCH_sim.json` at the workspace root) for the workflow to
-    // upload. It gates nothing: the pool's contract — one dispatch per
-    // batched window, identical `RunStats` at any thread count — is a
-    // tier-1 test (`tests/telemetry.rs`), and a timing ratio between two
+    // upload. It gates nothing: bit-identity is a tier-1 test
+    // (`tests/window_determinism.rs`), and a timing ratio between two
     // rows is host noise on narrow runners.
     if !run_step(
         &cargo,
@@ -668,12 +640,12 @@ mod tests {
             "[\n",
             "  {\"name\": \"baseline-15sm/mri-q\", \"min_ns\": 1, ",
             "\"median_ns\": 2, \"mean_ns\": 400, \"samples\": 5},\n",
-            "  {\"name\": \"parallel/mri-q\", \"min_ns\": 1, ",
+            "  {\"name\": \"fastforward/mri-q\", \"min_ns\": 1, ",
             "\"median_ns\": 2, \"mean_ns\": 100, \"samples\": 5}\n",
             "]\n",
         );
         assert_eq!(bench_mean_ns(json, "baseline-15sm/mri-q"), Some(400.0));
-        assert_eq!(bench_mean_ns(json, "parallel/mri-q"), Some(100.0));
+        assert_eq!(bench_mean_ns(json, "fastforward/mri-q"), Some(100.0));
         assert_eq!(bench_mean_ns(json, "missing/row"), None);
     }
 }

@@ -174,21 +174,14 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// The concurrent-phase root and the serial-phase roots of the
-/// two-phase cycle contract.
+/// The local-phase root and the commit-phase roots of the two-phase
+/// cycle contract.
 const LOCAL_ROOT: &str = "cycle_local";
 const COMMIT_ROOTS: &[&str] = &["commit", "cycle"];
 /// Roots of the SM stepping hot path: the two cycle phases (and their
-/// fused serial form), the engine's per-tick driver and the pool's
-/// worker body. `lock-order` walks everything reachable from whichever
-/// of these the universe defines.
-const HOT_PATH_ROOTS: &[&str] = &[
-    "cycle_local",
-    "commit",
-    "cycle",
-    "step_running",
-    "worker_loop",
-];
+/// fused form) and the engine's per-tick stepper. `lock-order` walks
+/// everything reachable from whichever of these the universe defines.
+const HOT_PATH_ROOTS: &[&str] = &["cycle_local", "commit", "cycle", "step_running"];
 
 /// Effects that make a local-phase function impure. `FloatAccum` alone
 /// is excluded: an ordered float reduction is deterministic, and the
@@ -245,7 +238,7 @@ fn rule_local_phase_purity(
             function: def.display_name(),
             message: format!(
                 "is reachable from `{LOCAL_ROOT}` but carries {names}{detail}; \
-                 the concurrent local phase must not touch shared or ambient state"
+                 the local phase must not touch shared or ambient state"
             ),
         });
     }
@@ -293,13 +286,11 @@ fn rule_commit_only_mutation(
     }
 }
 
-/// `lock-order`: the partitioned pool's discipline is "no locks on the
-/// SM hot path". Shards are owned outright by exactly one thread, the
-/// dispatch hand-off is an atomic epoch counter, and shared mutation
-/// happens only in the serial commit phase — so any `Mutex`/`RwLock`
-/// named (or `.lock()` acquired) in a function reachable from a
-/// hot-path root reintroduces exactly the blocking, contention and
-/// poisoning modes the partition refactor removed. The walk is
+/// `lock-order`: "no locks on the SM hot path". The engine steps every
+/// SM on one thread and shared mutation happens only in the commit
+/// phase, so any `Mutex`/`RwLock` named (or `.lock()` acquired) in a
+/// function reachable from a hot-path root is pure overhead and hides
+/// shared state from the two-phase analysis. The walk is
 /// transitive over the call graph, so a lock three helpers deep is
 /// found.
 fn rule_lock_order(model: &Model, out: &mut Vec<AnalysisFinding>) {
@@ -351,10 +342,10 @@ fn scan_lock_body(def: &FnDef, model: &Model, out: &mut Vec<AnalysisFinding>) {
             line,
             function: def.display_name(),
             message: format!(
-                "uses `{what}` on the SM stepping hot path; SM shards are owned \
-                 by exactly one thread with atomic epoch-counter hand-off, so \
-                 blocking locks are banned from everything reachable from \
-                 `cycle_local`/`commit`/`cycle`/`step_running`/`worker_loop`"
+                "uses `{what}` on the SM stepping hot path; the engine steps \
+                 every SM on one thread, so blocking locks are banned from \
+                 everything reachable from \
+                 `cycle_local`/`commit`/`cycle`/`step_running`"
             ),
         });
     }
@@ -503,11 +494,11 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "local-phase-purity",
         "local-phase-purity (error)\n\
          \n\
-         Why: `Sm::cycle_local` runs concurrently across SMs. The engine's\n\
-         bit-identical-at-any-thread-count guarantee holds only if nothing\n\
-         reachable from it writes shared state or reads ambient state —\n\
-         including writes hidden behind RefCell/Mutex/atomics that no\n\
-         signature reveals. This rule infers effects per function and\n\
+         Why: batched windows run `Sm::cycle_local` on every SM with no\n\
+         commit in between. A window is bit-identical to per-tick steps\n\
+         only if nothing reachable from it writes shared state or reads\n\
+         ambient state — including writes hidden behind RefCell/Mutex/\n\
+         atomics that no signature reveals. This rule infers effects per function and\n\
          propagates them over the call graph (through `Self::` calls, UFCS,\n\
          turbofish, closures), so a violation three helpers deep is found.\n\
          \n\
@@ -517,7 +508,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          \n\
          Fix: buffer the write in per-SM state during `cycle_local` and\n\
          apply it in `Sm::commit`, or justify a provably-local case with\n\
-         `// lint: allow(local-phase-purity) -- <why it cannot race>`.",
+         `// lint: allow(local-phase-purity) -- <why it stays local>`.",
     ),
     (
         "commit-only-mutation",
@@ -540,22 +531,21 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "lock-order",
         "lock-order (error)\n\
          \n\
-         Why: the partitioned pool gives each thread outright ownership of\n\
-         its SM shard and synchronises dispatch with atomic epoch counters,\n\
-         so the SM stepping hot path — everything reachable from\n\
-         `cycle_local`, `commit`, `cycle`, `step_running` or `worker_loop` —\n\
-         is lock-free by construction. A `Mutex`/`RwLock` (or any `.lock()`\n\
-         acquisition) on that path reintroduces the blocking, contention\n\
-         and poisoning failure modes the partition refactor removed.\n\
+         Why: the engine steps every SM on one thread and mutates shared\n\
+         state only in the commit phase, so the SM stepping hot path —\n\
+         everything reachable from `cycle_local`, `commit`, `cycle` or\n\
+         `step_running` — needs no lock. A `Mutex`/`RwLock` (or any\n\
+         `.lock()` acquisition) on that path is pure overhead and hides\n\
+         shared state from the two-phase analysis.\n\
          \n\
          Violation:\n\
              fn commit(&mut self, mem: &mut MemSystem) {\n\
                  let _g = self.shared.lock();   // flagged\n\
              }\n\
          \n\
-         Fix: keep shared mutation in the serial commit phase, extend the\n\
-         partition hand-off instead of locking, or justify a deliberate\n\
-         lock with `// lint: allow(lock-order) -- <why it cannot block>`.",
+         Fix: keep shared mutation in the commit phase, or justify a\n\
+         deliberate lock with\n\
+         `// lint: allow(lock-order) -- <why it cannot block>`.",
     ),
     (
         "float-accum-order",
@@ -709,10 +699,10 @@ fn rogue(_mem: &mut MemSystem) {}
 
     #[test]
     fn lock_order_flags_locks_reachable_from_the_hot_path() {
-        // The `.lock()` lives two calls deep from the worker body — only
-        // the transitive walk can see it.
+        // The `.lock()` lives two calls deep from the per-tick stepper —
+        // only the transitive walk can see it.
         let src = "\
-fn worker_loop(parts: &[P]) {
+fn step_running(parts: &[P]) {
     for p in parts {
         service(p);
     }

@@ -119,11 +119,12 @@ fn random_kernels_terminate_and_conserve_instructions() {
     }
 }
 
-/// Parallel stepping is invisible: every random kernel produces
-/// bit-identical `RunStats` at `threads = 2` and serial, across varying
-/// SM counts and both VRM topologies.
+/// Batching is invisible: every random kernel produces bit-identical
+/// `RunStats` with the default options and with per-tick stepping
+/// (`max_batch_ticks = 1`), across varying SM counts and both VRM
+/// topologies.
 #[test]
-fn random_kernels_are_thread_invariant() {
+fn random_kernels_match_per_tick() {
     use equalizer_sim::gpu::simulate_with;
 
     let mut rng = SplitMix64::new(SEED ^ 4);
@@ -132,29 +133,21 @@ fn random_kernels_are_thread_invariant() {
         let mut config = small_config();
         config.num_sms = 2 + rng.next_below(3) as usize;
         config.per_sm_vrm = rng.next_below(2) == 1;
-        let serial = simulate_with(
+        let per_tick = simulate_with(
             &config,
             &kernel,
             &mut StaticGovernor,
             SimOptions {
-                threads: 1,
+                max_batch_ticks: 1,
                 ..SimOptions::default()
             },
         )
-        .unwrap_or_else(|e| panic!("case {case}: serial run failed: {e}"));
-        let parallel = simulate_with(
-            &config,
-            &kernel,
-            &mut StaticGovernor,
-            SimOptions {
-                threads: 2,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("case {case}: parallel run failed: {e}"));
+        .unwrap_or_else(|e| panic!("case {case}: per-tick run failed: {e}"));
+        let fast = simulate_with(&config, &kernel, &mut StaticGovernor, SimOptions::default())
+            .unwrap_or_else(|e| panic!("case {case}: default run failed: {e}"));
         assert_eq!(
-            serial, parallel,
-            "case {case}: threads=2 diverged (num_sms={}, per_sm_vrm={})",
+            per_tick, fast,
+            "case {case}: diverged from per-tick stepping (num_sms={}, per_sm_vrm={})",
             config.num_sms, config.per_sm_vrm
         );
     }

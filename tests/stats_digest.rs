@@ -7,7 +7,8 @@
 //! recorded before the change under test. The cases cover random
 //! SplitMix64 kernels with barriers, dependent ALU ops and launch stagger,
 //! a texture-path kernel, every governor family (baseline, Equalizer in
-//! both modes, DynCTA, CCWS, per-SM VRMs), one and two threads, and a
+//! both modes, DynCTA, CCWS, per-SM VRMs), per-tick stepping
+//! (`max_batch_ticks = 1`) against the default options, and a
 //! snapshot/restore at a mid-run epoch.
 //!
 //! A deliberate change to simulated behaviour must re-record the table:
@@ -280,10 +281,17 @@ fn cases() -> Vec<(GpuConfig, KernelSpec)> {
     out
 }
 
-fn opts(threads: usize) -> SimOptions {
-    SimOptions {
-        threads,
-        ..SimOptions::default()
+/// The default options, or the per-tick reference that never opens a
+/// batched window.
+fn opts(per_tick: bool) -> SimOptions {
+    let default = SimOptions::default();
+    if per_tick {
+        SimOptions {
+            max_batch_ticks: 1,
+            ..default
+        }
+    } else {
+        default
     }
 }
 
@@ -422,11 +430,34 @@ fn digest(stats: &RunStats) -> u64 {
     f.0
 }
 
-fn run(config: &GpuConfig, kernel: &KernelSpec, gov: Gov, threads: usize) -> RunStats {
+fn run(config: &GpuConfig, kernel: &KernelSpec, gov: Gov, per_tick: bool) -> RunStats {
     let config = gov.config(config);
     let mut governor = gov.governor(config.num_sms);
-    simulate_with(&config, kernel, governor.as_mut(), opts(threads))
+    simulate_with(&config, kernel, governor.as_mut(), opts(per_tick))
         .unwrap_or_else(|e| panic!("{gov:?} on {}: {e}", kernel.name()))
+}
+
+/// Kernels on which batched windows end the invocation late. Their last
+/// block retires with stores still in flight; once the memory system
+/// drains, the idle SMs open a window that runs to the next epoch
+/// boundary, and only the per-tick step there notices the invocation is
+/// over. Per-tick stepping stops on the first drained tick. The pinned
+/// digests record the batched (default) runs, as the repository
+/// benchmark's golden digests do, so fixing the defect re-pins both.
+/// Machines with per-SM VRMs never batch and are exempt.
+const TERMINATION_OVERSHOOT: [&str; 2] = ["digest-wide", "digest-mem"];
+
+/// Asserts that `fast` differs from the per-tick `reference` only by
+/// the termination overshoot: same work and the same epochs up to the
+/// reference's end, then idle cycles up to the next epoch boundary.
+fn assert_overshoots_termination(config: &GpuConfig, reference: &RunStats, fast: &RunStats) {
+    assert_ne!(reference, fast, "the known overshoot is gone: re-pin");
+    assert_eq!(reference.instructions(), fast.instructions());
+    assert!(fast.epochs.starts_with(&reference.epochs));
+    let end = |s: &RunStats| s.sm_cycles_at.iter().sum::<u64>();
+    assert!(end(fast) > end(reference));
+    assert!(end(fast) - end(reference) < config.epoch_cycles);
+    assert_eq!(end(fast) % config.epoch_cycles, 0);
 }
 
 /// Formats a digest table for pasting into [`EXPECTED`].
@@ -437,8 +468,10 @@ fn table(digests: &[u64]) -> String {
         .collect()
 }
 
-/// Every (kernel, governor) pair matches its pinned digest at one and
-/// two threads; the governors demonstrably act on the way.
+/// Every (kernel, governor) pair matches its pinned digest with the
+/// default options, and per-tick stepping gives the same `RunStats`
+/// (bar [`TERMINATION_OVERSHOOT`]); the governors demonstrably act on
+/// the way.
 #[test]
 fn run_stats_match_pinned_digests() {
     let all = cases();
@@ -464,27 +497,31 @@ fn run_stats_match_pinned_digests() {
     let (mut vf_moved, mut blocks_paused) = (false, false);
     for (config, kernel) in &all {
         for gov in GOVERNORS {
-            let serial = run(config, kernel, gov, 1);
-            let parallel = run(config, kernel, gov, 2);
-            assert_eq!(
-                serial,
-                parallel,
-                "{gov:?} on {}: threads=2 diverged",
-                kernel.name()
-            );
+            let reference = run(config, kernel, gov, true);
+            let fast = run(config, kernel, gov, false);
+            if TERMINATION_OVERSHOOT.contains(&kernel.name()) && !matches!(gov, Gov::PerSmVrm) {
+                assert_overshoots_termination(config, &reference, &fast);
+            } else {
+                assert_eq!(
+                    reference,
+                    fast,
+                    "{gov:?} on {}: diverged from per-tick stepping",
+                    kernel.name()
+                );
+            }
             if matches!(gov, Gov::EqualizerPerf | Gov::EqualizerEnergy) {
                 let nominal = VfLevel::Nominal.index();
-                vf_moved |= serial
+                vf_moved |= fast
                     .sm_cycles_at
                     .iter()
                     .enumerate()
                     .any(|(level, &c)| level != nominal && c > 0);
-                blocks_paused |= serial.epochs.windows(2).any(|w| {
+                blocks_paused |= fast.epochs.windows(2).any(|w| {
                     w[0].invocation == w[1].invocation
                         && w[1].mean_target_blocks < w[0].mean_target_blocks
                 });
             }
-            got.push(digest(&serial));
+            got.push(digest(&fast));
         }
     }
     assert!(vf_moved, "no Equalizer case left the nominal VF level");
@@ -501,13 +538,13 @@ fn run_stats_match_pinned_digests() {
 #[test]
 fn snapshot_restore_matches_pinned_digests() {
     let all = cases();
-    // A random multi-epoch kernel serially, the memory kernel on the pool.
-    for (k, threads) in [(1, 1), (all.len() - 1, 2)] {
+    // A random multi-epoch kernel per-tick, the memory kernel batched.
+    for (k, per_tick) in [(1, true), (all.len() - 1, false)] {
         let (config, kernel) = &all[k];
         for (i, gov) in GOVERNORS.into_iter().enumerate() {
             let config = gov.config(config);
             let mut governor = gov.governor(config.num_sms);
-            let mut engine = Engine::new(&config, kernel, opts(threads)).unwrap();
+            let mut engine = Engine::new(&config, kernel, opts(per_tick)).unwrap();
             while engine.epoch_index() < 2 {
                 let ev = engine.run_epoch(governor.as_mut()).unwrap();
                 assert_ne!(
@@ -518,7 +555,7 @@ fn snapshot_restore_matches_pinned_digests() {
             }
             let bytes = engine.snapshot();
             drop(engine);
-            let mut restored = Engine::restore(&config, kernel, opts(threads), &bytes).unwrap();
+            let mut restored = Engine::restore(&config, kernel, opts(per_tick), &bytes).unwrap();
             let stats = restored.run(governor.as_mut()).unwrap();
             assert_eq!(
                 digest(&stats),

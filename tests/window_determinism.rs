@@ -1,12 +1,10 @@
-//! Parallel stepping is a pure wall-clock knob: for any
-//! `SimOptions::threads` value the partitioned two-phase cycle must
-//! produce bit-identical `RunStats` — epoch timelines included — to a
-//! serial run, and so must tick batching for any `max_batch_ticks`
-//! value. These tests pin both properties across the tier-1 workloads,
-//! uneven SM partitions, the per-SM-VRM machine and runs with mid-run
-//! VF transitions.
+//! Batched and fused windows are a pure wall-clock optimisation: with
+//! the default options every run must produce bit-identical `RunStats`
+//! — epoch timelines included — to the per-tick reference
+//! (`max_batch_ticks = 1`, which never opens a window). These tests pin
+//! that across the tier-1 workloads, the full machine, the per-SM-VRM
+//! machine, MSHR pressure and runs with mid-run VF transitions.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use equalizer_sim::engine::{Engine, StepEvent};
@@ -21,71 +19,59 @@ use equalizer_sim::prelude::*;
 use equalizer_sim::stats::RunStats;
 use equalizer_workloads::kernel_by_name;
 
-fn opts(threads: usize) -> SimOptions {
+/// The per-tick reference: batching off, every SM tick stepped alone.
+fn per_tick() -> SimOptions {
     SimOptions {
-        threads,
+        max_batch_ticks: 1,
         ..SimOptions::default()
     }
 }
 
-/// Runs `kernel` serially and at several thread counts with fresh
-/// governors from `make_gov`, asserting every run's complete statistics
-/// are bit-identical to the serial run.
-fn assert_thread_invariant<G, F>(name: &str, config: &GpuConfig, kernel: &KernelSpec, make_gov: F)
+/// Runs `kernel` per-tick and with the default options, with fresh
+/// governors from `make_gov`, asserting both runs' complete statistics
+/// are bit-identical.
+fn assert_matches_per_tick<G, F>(name: &str, config: &GpuConfig, kernel: &KernelSpec, make_gov: F)
 where
     G: Governor,
     F: Fn() -> G,
 {
-    let serial: RunStats = simulate_with(config, kernel, &mut make_gov(), opts(1))
-        .unwrap_or_else(|e| panic!("{name}: serial run failed: {e}"));
-    assert!(serial.instructions() > 0, "{name}: kernel must do work");
-    // Sweep thread counts that exercise uneven partitions (SM count not
-    // divisible by the partition count) as well as the clamped maximum.
-    // Thread counts are clamped to the SM count by the engine, so dedupe
-    // by the effective value to avoid re-running identical machines.
-    let mut effective_seen = BTreeSet::new();
-    for threads in [2, 3, 4, 8, 15] {
-        if !effective_seen.insert(threads.min(config.num_sms)) {
-            continue;
-        }
-        let parallel = simulate_with(config, kernel, &mut make_gov(), opts(threads))
-            .unwrap_or_else(|e| panic!("{name}: threads={threads} run failed: {e}"));
-        assert_eq!(
-            serial, parallel,
-            "{name}: threads={threads} diverged from serial"
-        );
-    }
+    let reference: RunStats = simulate_with(config, kernel, &mut make_gov(), per_tick())
+        .unwrap_or_else(|e| panic!("{name}: per-tick run failed: {e}"));
+    assert!(reference.instructions() > 0, "{name}: kernel must do work");
+    let fast = simulate_with(config, kernel, &mut make_gov(), SimOptions::default())
+        .unwrap_or_else(|e| panic!("{name}: default run failed: {e}"));
+    assert_eq!(reference, fast, "{name}: diverged from per-tick stepping");
 }
 
 #[test]
-fn tier1_workloads_are_thread_invariant() {
+fn tier1_workloads_match_per_tick() {
     let mut config = GpuConfig::gtx480();
     config.num_sms = 6;
     for name in ["mri-q", "mmer", "cfd-2"] {
         let kernel = kernel_by_name(name).unwrap();
-        assert_thread_invariant(name, &config, &kernel, || StaticGovernor);
+        assert_matches_per_tick(name, &config, &kernel, || StaticGovernor);
     }
 }
 
 #[test]
-fn equalizer_runs_are_thread_invariant() {
+fn equalizer_runs_match_per_tick() {
     let mut config = GpuConfig::gtx480();
     config.num_sms = 6;
     let kernel = kernel_by_name("mmer").unwrap();
-    assert_thread_invariant("equalizer/mmer", &config, &kernel, || {
+    assert_matches_per_tick("equalizer/mmer", &config, &kernel, || {
         Equalizer::new(Mode::Performance, config.num_sms)
     });
 }
 
 #[test]
-fn mshr_pressure_is_thread_invariant() {
+fn mshr_pressure_matches_per_tick() {
     // A cache-thrashing kernel keeps the interconnect back-pressured, so
-    // the commit phase's arbitration order is exercised every cycle —
-    // exactly where a parallel-stepping bug would first show up.
+    // the commit phase's arbitration order is exercised every cycle and
+    // window proofs must keep refusing around in-flight misses.
     let mut config = GpuConfig::gtx480();
     config.num_sms = 4;
     let kernel = equalizer_workloads::cache_kernel(
-        "parallel-thrash",
+        "window-thrash",
         8,
         6,
         1.0,
@@ -98,19 +84,19 @@ fn mshr_pressure_is_thread_invariant() {
             waves: 2.0,
         },
     );
-    assert_thread_invariant("thrash", &config, &kernel, || StaticGovernor);
+    assert_matches_per_tick("thrash", &config, &kernel, || StaticGovernor);
 }
 
 #[test]
-fn per_sm_vrm_runs_are_thread_invariant() {
+fn per_sm_vrm_runs_match_per_tick() {
     // Per-SM VRMs drift the SM clocks apart, so different subsets of SMs
-    // are due each tick; which SMs step (and thus the commit order) must
-    // still be thread-count independent.
+    // are due each tick and no window may ever open: the default options
+    // must reduce to the per-tick reference.
     let mut config = GpuConfig::gtx480();
     config.num_sms = 6;
     config.per_sm_vrm = true;
     let kernel = kernel_by_name("sc").unwrap();
-    assert_thread_invariant("per-sm-vrm/sc", &config, &kernel, || {
+    assert_matches_per_tick("per-sm-vrm/sc", &config, &kernel, || {
         Equalizer::new(Mode::Energy, 6).with_per_sm_vrm(true)
     });
 }
@@ -145,11 +131,11 @@ impl Governor for BoostThenThrottle {
 }
 
 #[test]
-fn mid_run_vf_transitions_are_thread_invariant() {
+fn mid_run_vf_transitions_match_per_tick() {
     let mut config = GpuConfig::gtx480();
     config.num_sms = 4;
     let kernel = vf_mix_kernel();
-    assert_thread_invariant("vf-mix", &config, &kernel, BoostThenThrottle::default);
+    assert_matches_per_tick("vf-mix", &config, &kernel, BoostThenThrottle::default);
 }
 
 /// A mixed ALU/load/sync kernel whose runs cross VF transitions under
@@ -176,12 +162,10 @@ fn vf_mix_kernel() -> KernelSpec {
 }
 
 #[test]
-fn full_machine_partitions_unevenly_and_stays_invariant() {
-    // The full 15-SM machine: thread counts 2, 4 and 8 all leave uneven
-    // partitions (15 = 7+8 = 4+4+4+3 = ...), and 15 gives every
-    // partition exactly one SM.
+fn full_machine_matches_per_tick() {
+    // The full 15-SM machine: every window proof must hold on all SMs.
     let config = GpuConfig::gtx480();
-    assert_eq!(config.num_sms, 15, "sweep assumes the full gtx480 array");
+    assert_eq!(config.num_sms, 15, "the full gtx480 array");
     let kernel = KernelSpec::new(
         "uneven",
         KernelCategory::Compute,
@@ -195,7 +179,7 @@ fn full_machine_partitions_unevenly_and_stays_invariant() {
             )])),
         }],
     );
-    assert_thread_invariant("uneven", &config, &kernel, || StaticGovernor);
+    assert_matches_per_tick("uneven", &config, &kernel, || StaticGovernor);
 }
 
 /// Runs `kernel` through a hand-stepped [`Engine`], returning the final
@@ -229,11 +213,7 @@ fn tick_batching_is_bit_identical_to_per_tick() {
             )])),
         }],
     );
-    let per_tick = SimOptions {
-        max_batch_ticks: 1,
-        ..SimOptions::default()
-    };
-    let (base, base_batched) = engine_run(&config, &alu, per_tick);
+    let (base, base_batched) = engine_run(&config, &alu, per_tick());
     assert_eq!(base_batched, 0, "max_batch_ticks=1 must disable batching");
     let (batched, batched_ticks) = engine_run(&config, &alu, SimOptions::default());
     assert!(
@@ -241,14 +221,6 @@ fn tick_batching_is_bit_identical_to_per_tick() {
         "a pure-ALU kernel must open batched windows"
     );
     assert_eq!(base, batched, "batched windows diverged from per-tick");
-
-    // Batching composes with the worker pool: same bits again.
-    let batched_parallel = SimOptions {
-        threads: 4,
-        ..SimOptions::default()
-    };
-    let (parallel, _) = engine_run(&config, &alu, batched_parallel);
-    assert_eq!(base, parallel, "parallel batched run diverged");
 
     // A load/sync kernel with mid-run VF transitions: windows are rare
     // and must refuse to open across in-flight memory or pending

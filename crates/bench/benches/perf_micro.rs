@@ -88,12 +88,12 @@ fn main() {
         results.push(r);
     }
 
-    // Event-driven fast-forward on vs. off (quiescence-gated batching)
-    // on the full 15-SM machine. Results are bit-identical by contract —
-    // the engine test suite pins that — so the pair is a pure wall-clock
-    // comparison. Each `fastforward/*` row carries its window coverage
-    // as extra JSON keys: `batched_ticks` out of `total_sm_ticks`, and
-    // the `fused_ticks` subset that skipped the pipeline entirely.
+    // Event-driven fast-forward on vs. off (per-tick stepping without the
+    // fast-issue cuts) on the full 15-SM machine. Results are
+    // bit-identical by contract — the engine test suite pins that — so
+    // the pair is a pure wall-clock comparison. Each `fastforward/*` row
+    // carries its fused-window coverage as extra JSON keys:
+    // `batched_ticks` out of `total_sm_ticks`.
     println!("\n=== fast-forward (15 SMs) ===");
     for name in ["mri-q", "mmer", "cfd-2"] {
         let kernel = kernel_by_name(name).expect("catalog kernel");
@@ -103,27 +103,19 @@ fn main() {
                 fast_forward,
                 ..SimOptions::default()
             };
-            let mut coverage = (0u64, 0u64, 0u64);
+            let mut coverage = (0u64, 0u64);
             let mut r = bench(&format!("fastforward/{name}{suffix}"), sim_opts, || {
                 let mut engine =
                     equalizer_sim::engine::Engine::new(black_box(&wide), black_box(&kernel), opts)
                         .expect("engine");
                 let stats = engine.run(&mut StaticGovernor).expect("simulation");
-                coverage = (
-                    engine.batched_ticks(),
-                    stats.sm_cycles_at.iter().sum(),
-                    engine.batch_window_stats().fused_ticks,
-                );
+                coverage = (engine.batched_ticks(), stats.sm_cycles_at.iter().sum());
                 black_box(stats.instructions())
             });
-            let (batched, total, fused) = coverage;
-            r.extra = vec![
-                ("batched_ticks", batched),
-                ("total_sm_ticks", total),
-                ("fused_ticks", fused),
-            ];
+            let (batched, total) = coverage;
+            r.extra = vec![("batched_ticks", batched), ("total_sm_ticks", total)];
             println!(
-                "{r}\n{:<24} batched {batched}/{total} SM ticks ({:.1}%), fused {fused}",
+                "{r}\n{:<24} fused windows {batched}/{total} SM ticks ({:.1}%)",
                 "",
                 100.0 * batched as f64 / total.max(1) as f64,
             );

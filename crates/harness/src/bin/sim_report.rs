@@ -152,7 +152,9 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     let energy = model.energy(&stats);
-    let total_sm_ticks = stats.sm_cycles_at.iter().sum::<u64>() * stats.num_sms as u64;
+    // `batched_ticks` counts machine ticks, once per window whatever the
+    // SM count, so the coverage denominator is the machine's tick count.
+    let total_sm_ticks = stats.sm_cycles_at.iter().sum::<u64>();
     let batched_pct = if total_sm_ticks == 0 {
         0.0
     } else {
@@ -162,7 +164,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "sim-report: workload {}, mode {}, {} SMs\n\
          simulated {:.6} s wall, {} instructions, {:.3} J total energy\n\
          {} epoch(s), {} VF transition(s) observed\n\
-         {} epoch(s) executed, {} of {} SM ticks batched ({:.1}%)\n\n",
+         {} epoch(s) executed, {} of {} SM ticks in fused windows ({:.1}%)\n\n",
         kernel.name(),
         opts.mode,
         config.num_sms,

@@ -114,13 +114,14 @@ pub struct ServerStats {
     pub warm_hits: u64,
     /// Prefix-snapshot entries evicted to respect the capacity bound.
     pub snapshot_evictions: u64,
-    /// SM ticks executed inside batched windows, summed over every
+    /// SM ticks executed inside fused windows, summed over every
     /// simulation this daemon ran (the fast-forward coverage numerator).
     pub batched_ticks: u64,
-    /// The subset of `batched_ticks` executed in *fused* windows, where
-    /// the per-cycle pipeline was skipped entirely.
+    /// SM ticks executed in fused windows, where the per-cycle pipeline
+    /// was skipped entirely. Every window is fused, so this equals
+    /// `batched_ticks`.
     pub fused_ticks: u64,
-    /// Batch windows closed because the memory system's next event was
+    /// Fused windows refused because the memory system's next event was
     /// too near (`BatchClose::MemHorizon`), summed over simulations.
     pub mem_horizon_closes: u64,
 }

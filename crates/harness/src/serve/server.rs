@@ -312,7 +312,7 @@ impl Server {
     }
 }
 
-/// The slice of one engine's batch-window diagnostic that feeds the
+/// The slice of one engine's fused-window diagnostic that feeds the
 /// daemon tallies (`serve.batched_ticks` / `serve.fused_ticks` /
 /// `serve.mem_horizon_closes`).
 #[derive(Debug, Clone, Copy, Default)]

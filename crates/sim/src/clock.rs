@@ -81,7 +81,7 @@ impl DomainClock {
 
     /// Whether a VF transition is pending (requested but not yet
     /// applied). While one is pending the domain's period may change at
-    /// any tick, so multi-tick batching windows must not be opened.
+    /// any tick, so multi-tick fused windows must not be opened.
     pub fn has_pending_transition(&self) -> bool {
         self.pending.is_some()
     }
@@ -235,7 +235,7 @@ impl DomainClock {
 /// How many ticks of a domain whose next tick completes at `first` (with a
 /// fixed `period`) finish *strictly before* time `t` — i.e. the largest `n`
 /// with `first + (n-1)·period < t`, or `0` when even the first tick is not
-/// strictly earlier. Batching uses this to cap a window so that every
+/// strictly earlier. The engine uses this to cap a fused window so that every
 /// in-window tick of one domain precedes an event at `t` in another.
 pub(crate) fn ticks_strictly_before(first: Femtos, period: Femtos, t: Femtos) -> u64 {
     debug_assert!(period > 0, "clock period must be positive");

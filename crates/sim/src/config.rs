@@ -7,9 +7,9 @@
 //!
 //! Everything here describes the simulated *hardware* and therefore
 //! affects results. Knobs that only change how fast the host simulates
-//! that hardware — tick batching and the event-driven
-//! fast-forward path (`fast_forward`, default on; off restores the
-//! conservative quiescence-gated batching) — live on
+//! that hardware — the event-driven fast-forward path (fused stall
+//! windows and the fast-issue cuts; `fast_forward`, default on, and
+//! `max_batch_ticks`) — live on
 //! [`SimOptions`](crate::gpu::SimOptions) instead, and are guaranteed
 //! not to change `RunStats`.
 
@@ -182,7 +182,7 @@ pub struct GpuConfig {
     /// Memory system clock domain (NoC + L2 + MC + DRAM).
     pub mem_clock: ClockConfig,
     /// Length of a runtime-system epoch, in SM cycles. Also bounds the
-    /// engine's batched tick windows: a window never crosses an epoch
+    /// engine's fused windows: a window never crosses an epoch
     /// boundary, so the boundary's sampling and governor hand-off happen
     /// on exactly the same tick as in per-tick stepping.
     pub epoch_cycles: u64,
@@ -202,9 +202,9 @@ pub struct GpuConfig {
     /// that per-SM VRMs remove the inefficiency when SMs disagree
     /// (§V-A1); this switch implements that variant. Epoch boundaries are
     /// then defined in wall time (4096 nominal SM cycles) since the SM
-    /// clocks may drift apart. Drifted per-SM clocks also disable tick
-    /// batching ([`crate::gpu::SimOptions::max_batch_ticks`]), which
-    /// requires one shared SM tick sequence.
+    /// clocks may drift apart. Drifted per-SM clocks also disable fused
+    /// windows ([`crate::gpu::SimOptions::max_batch_ticks`]), which
+    /// require one shared SM tick sequence.
     pub per_sm_vrm: bool,
     /// Initial VF level of the SM domain.
     pub initial_sm_level: VfLevel,

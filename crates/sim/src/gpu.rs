@@ -79,37 +79,36 @@ pub struct SimOptions {
     /// from running independent simulations side by side (the harness's
     /// `parallel_map`).
     pub threads: usize,
-    /// Upper bound on SM ticks per batched window.
+    /// Upper bound on SM ticks per fused window.
     ///
-    /// When the engine can prove a window of cycles contains no cross-SM
-    /// interaction (no VF transition pending, no memory response due,
-    /// every schedulable warp far enough from its next memory access and
-    /// from program completion), it executes the whole window at once
-    /// instead of tick by tick. Batching is meant never to change
-    /// simulated results — `tests/window_determinism.rs` pins
+    /// Every tick takes the per-tick step unless the engine can prove a
+    /// *fused* window: no VF transition pending, every SM pipeline
+    /// empty, no memory response due, and every awake warp on every SM
+    /// stalled (asleep on a load, or waiting out a dependency or its
+    /// launch stagger) for the whole window. Such a window is applied
+    /// in bulk instead of tick by tick. Windows are meant never to
+    /// change simulated results — `tests/window_determinism.rs` pins
     /// bit-identical stats against per-tick stepping — so this is a
     /// wall-clock knob. One known defect breaks that: when an
     /// invocation's last stores drain after its last block retired, a
     /// window carries the idle machine to the next epoch boundary before
     /// the invocation ends (`TERMINATION_OVERSHOOT` in
-    /// `tests/stats_digest.rs`). Values below 2 disable batching and give
+    /// `tests/stats_digest.rs`). Values below 2 open no window and give
     /// the per-tick reference.
     pub max_batch_ticks: u64,
     /// Event-driven fast-forward (DESIGN.md §13). On by default.
     ///
-    /// When set, batch windows no longer require the memory system to be
-    /// *quiescent* — only that its conservative next-event horizon
-    /// ([`crate::memsys::MemSystem::next_event_time`]) proves no response
-    /// can reach an SM inside the window — and fully-stalled windows skip
-    /// the per-cycle SM work entirely, bulk-applying the accounting in
-    /// O(1). The issue stage also stops walking warps once its slots are
-    /// full, and passes over memory-bound warps once its memory port is
-    /// closed (on cycles where the skipped classification is provably
-    /// unobservable). Results are bit-identical on or off at any
-    /// `max_batch_ticks` — the `cargo xtask ci` fast-forward gate
-    /// enforces it — so this is purely a wall-clock knob. Off
-    /// restores PR 6 behavior: windows only over an idle memory system,
-    /// no fast-issue cuts.
+    /// When set, the engine opens fused windows (see
+    /// [`SimOptions::max_batch_ticks`]; the memory system may be active
+    /// as long as its conservative next-event horizon,
+    /// [`crate::memsys::MemSystem::next_event_time`], proves no response
+    /// can reach an SM inside the window), and the issue stage stops
+    /// walking warps once its slots are full and passes over
+    /// memory-bound warps once its memory port is closed (on cycles
+    /// where the skipped classification is provably unobservable).
+    /// Results are bit-identical on or off — `sim-ffcheck` checks it
+    /// under every governor family — so this is purely a wall-clock
+    /// knob. Off steps every tick per-tick, without the fast-issue cuts.
     pub fast_forward: bool,
 }
 

@@ -164,13 +164,6 @@ impl IterProfile {
 pub struct Program {
     segments: Vec<Segment>,
     iter_profile: IterProfile,
-    /// Per segment, per body index: instructions until the next `Mem`
-    /// at or after that index within the body (`0` when the index *is*
-    /// a `Mem`; `u32::MAX` when the rest of the body has none).
-    /// Precomputed for [`Program::issue_runway`].
-    mem_dist: Vec<Vec<u32>>,
-    /// Per segment: body index of the first `Mem`, if any.
-    first_mem: Vec<Option<u32>>,
     /// Whether any segment contains a `Sync`. Barriers execute
     /// unconditionally in the issue walk (they consume no issue port), so
     /// the fast-issue cuts must stay off for programs that have one.
@@ -188,40 +181,12 @@ impl Program {
             !segments.is_empty(),
             "program must have at least one segment"
         );
-        let mem_dist: Vec<Vec<u32>> = segments
-            .iter()
-            .map(|seg| {
-                let mut dist = vec![u32::MAX; seg.body.len()];
-                let mut next: u32 = u32::MAX;
-                for (i, instr) in seg.body.iter().enumerate().rev() {
-                    if matches!(instr, Instr::Mem(_)) {
-                        next = 0;
-                    } else {
-                        // u32::MAX stays "no memory downstream".
-                        next = next.saturating_add(1);
-                    }
-                    dist[i] = next;
-                }
-                dist
-            })
-            .collect();
-        let first_mem: Vec<Option<u32>> = segments
-            .iter()
-            .map(|seg| {
-                seg.body
-                    .iter()
-                    .position(|i| matches!(i, Instr::Mem(_)))
-                    .map(|p| p as u32)
-            })
-            .collect();
         let has_sync = segments
             .iter()
             .any(|seg| seg.body.iter().any(|i| matches!(i, Instr::Sync)));
         Self {
             segments,
             iter_profile: IterProfile::Uniform,
-            mem_dist,
-            first_mem,
             has_sync,
         }
     }
@@ -257,48 +222,6 @@ impl Program {
         let base = self.segments[seg].iterations;
         let m = self.iter_profile.multiplier_for(block_index);
         ((f64::from(base) * f64::from(m)).round() as u32).max(1)
-    }
-
-    /// How many instructions a warp at `pc` can issue before its next
-    /// *commit-phase event*: a memory instruction (which stages a shared
-    /// access) or the end of the program (which retires the block). Used
-    /// by tick batching — a warp issues at most one instruction per
-    /// cycle, so a runway of `r` guarantees `r` event-free cycles.
-    ///
-    /// The bound is exact within the current segment (iteration
-    /// wrap-around included) and conservative at segment boundaries: the
-    /// runway never extends past the current segment's last instruction,
-    /// as if the next segment began with a memory instruction.
-    pub(crate) fn issue_runway(&self, pc: ProgCounter, block_index: u64) -> u64 {
-        let Some(seg) = self.segments.get(pc.segment) else {
-            // Past the end: a finished warp issues nothing, ever.
-            return u64::MAX;
-        };
-        let body_len = seg.body.len() as u64;
-        let iters = u64::from(self.iterations_for(pc.segment, block_index));
-        let in_pass = body_len - pc.instr as u64;
-        let passes_left = iters.saturating_sub(1 + u64::from(pc.iteration));
-        let to_seg_end = in_pass + passes_left * body_len;
-        // The segment's last instruction is itself an event horizon: for
-        // the final segment it completes the warp, and for any other the
-        // next segment's first instruction could be a `Mem` issuing one
-        // cycle later — so cap at `to_seg_end` (last segment: one less,
-        // keeping the completing issue out of the window too).
-        let seg_cap = if pc.segment + 1 == self.segments.len() {
-            to_seg_end.saturating_sub(1)
-        } else {
-            to_seg_end
-        };
-        let d_mem = match self.mem_dist[pc.segment][pc.instr] {
-            u32::MAX => match self.first_mem[pc.segment] {
-                // No `Mem` left in this pass, but the body has one: it
-                // comes back around after the iteration wraps.
-                Some(fm) if passes_left > 0 => in_pass + u64::from(fm),
-                _ => u64::MAX,
-            },
-            d => u64::from(d),
-        };
-        d_mem.min(seg_cap)
     }
 }
 
@@ -417,13 +340,11 @@ impl AddressGen {
 /// and destructurings are the compile-time guard: new IR variants or
 /// fields cannot ship without being folded in.
 pub(crate) fn fold_program_identity(fold: &mut crate::snapshot::Fold, program: &Program) {
-    // mem_dist / first_mem / has_sync are pure functions of the segments,
-    // so the segments alone carry the identity.
+    // has_sync is a pure function of the segments, so the segments
+    // alone carry the identity.
     let Program {
         segments,
         iter_profile,
-        mem_dist: _,
-        first_mem: _,
         has_sync: _,
     } = program;
     fold.add(segments.len() as u64);

@@ -41,7 +41,7 @@
 //!
 //! The whole stage is part of the *local* phase of the two-phase cycle:
 //! it reads and writes only this SM's warps, scoreboard and LSU queue,
-//! so a batched window can run it without a commit (enforced by the
+//! and leaves everything shared to the commit (enforced by the
 //! `local-phase-purity` analysis).
 
 use std::cmp::Reverse;
@@ -202,7 +202,7 @@ impl Sm {
             self.rebuild_order();
         }
         self.cand.wake_due(now);
-        let sampled = self.cycles.is_multiple_of(self.sample_interval);
+        let sampled = self.sampled;
         if sampled {
             self.cand.mark_all();
         }

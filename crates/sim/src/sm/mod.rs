@@ -144,6 +144,11 @@ pub struct Sm {
     /// [`crate::gpu::SimOptions::fast_forward`] is on). Not serialized:
     /// restore rebuilds the engine from its own options.
     fast_issue: bool,
+    /// Whether the current cycle's snapshot is sampled (`cycles` is a
+    /// multiple of `sample_interval`). Set once per cycle by
+    /// [`Sm::cycle_local`] for the issue stage and [`Sm::account_cycle`];
+    /// not serialized, since every cycle sets it before use.
+    sampled: bool,
     /// Resident warps whose launch stagger is still counting down.
     /// Maintained incrementally at launch and on every decrement; not
     /// serialized (recomputed from the warps on decode, like
@@ -195,6 +200,7 @@ impl Sm {
                 .map(|c| CcwsState::new(c, config.max_warps_per_sm)),
             blocks_completed: 0,
             fast_issue: false,
+            sampled: false,
             staggered: 0,
         }
     }
@@ -312,8 +318,7 @@ impl Sm {
     /// Drains the SM's ready responses into its inbox, runs
     /// [`Sm::cycle_local`] and immediately [`Sm::commit`]s. This is the
     /// engine's per-tick step for every due SM, run in the rotated
-    /// service order; only batched windows, which need no commit, run
-    /// the local phase on its own.
+    /// service order.
     pub fn cycle(
         &mut self,
         now: Femtos,
@@ -333,10 +338,11 @@ impl Sm {
     /// CCWS mask refresh and the issue stage. Accesses that need the
     /// shared interconnect/texture queues are staged in
     /// [`PendingAccess`]; completed blocks are parked for the retire
-    /// stage. Touches no other SM, so a batched window can run it
-    /// back to back without a commit.
+    /// stage. Touches no other SM: everything shared waits for
+    /// [`Sm::commit`].
     pub fn cycle_local(&mut self, now: Femtos, level: VfLevel, period_fs: Femtos) {
         self.cycles += 1;
+        self.sampled = self.cycles.is_multiple_of(self.sample_interval);
         let li = level.index();
         let mut completed_blocks = std::mem::take(&mut self.completed_scratch);
         completed_blocks.clear();
@@ -386,14 +392,10 @@ impl Sm {
     }
 
     /// The per-cycle statistics half of [`Sm::commit`] (step 6): busy /
-    /// idle cycle accounting and the periodic warp-state sample.
-    ///
-    /// Split out so batched windows can run it inside the local phase:
-    /// when the engine has proven a window contains no staged access, no
-    /// completed block and no VF transition, steps 5a/5b of the commit
-    /// are no-ops and this is the *entire* observable effect of the
-    /// commit — it touches only this SM's own counters.
-    pub(crate) fn account_cycle(&mut self, level: VfLevel) {
+    /// idle cycle accounting and the periodic warp-state sample. It
+    /// touches only this SM's own counters; [`Sm::fast_forward_window`]
+    /// applies `w` of them at once.
+    fn account_cycle(&mut self, level: VfLevel) {
         let snap = self.snapshot;
         if snap.active > 0 || self.busy() {
             self.events[level.index()].busy_cycles += 1;
@@ -404,68 +406,21 @@ impl Sm {
             self.epoch.idle_cycles += 1;
             self.run_total.idle_cycles += 1;
         }
-        if self.cycles.is_multiple_of(self.sample_interval) {
+        if self.sampled {
             self.epoch.sample(&snap);
             self.run_total.sample(&snap);
         }
     }
 
-    /// How many back-to-back cycles this SM can provably run without any
-    /// cross-SM interaction, assuming it is currently [`Sm::quiescent`]:
-    /// the minimum, over schedulable warps, of the distance to the next
-    /// memory instruction or to program completion (both *events* that
-    /// need the shared commit phase — a staged [`PendingAccess`] or a
-    /// block retirement/GWDE refill). Warps advance at most one
-    /// instruction per cycle, so an event `d` instructions away cannot
-    /// occur within `d` cycles.
-    ///
-    /// Paused blocks are excluded: pause state only changes at epoch
-    /// boundaries (`set_target_blocks`) or in the commit phase (`fill`),
-    /// neither of which can happen inside a window. Barrier-waiting
-    /// warps are included at their already-advanced pc — barrier release
-    /// is purely SM-local.
-    pub(crate) fn batch_horizon(&self) -> u64 {
-        // Belt and braces: a window must never start with unretired
-        // blocks (commit always drains them, so this cannot fire after a
-        // completed tick).
-        if !self.completed_scratch.is_empty() {
-            return 0;
-        }
-        let Some(program) = self.program.as_deref() else {
-            return u64::MAX;
-        };
-        let mut horizon = u64::MAX;
-        for warp in self.warps.iter().flatten() {
-            if warp.finished {
-                // Inert: an unfinished sibling keeps the block resident
-                // (a fully finished block would already have retired),
-                // and with no pending loads — the SM is quiescent —
-                // nothing about this warp can change in-window.
-                continue;
-            }
-            if self.blocks[warp.block_slot]
-                .as_ref()
-                .is_some_and(|b| b.paused)
-            {
-                continue;
-            }
-            horizon = horizon.min(program.issue_runway(warp.pc, warp.block_index));
-            if horizon < 2 {
-                break;
-            }
-        }
-        horizon
-    }
-
-    /// Window admission under fast-forward: unlike [`Sm::quiescent`], the
-    /// SM may carry outstanding L1 misses (MSHRs) and scheduled local
-    /// hits into a window — both are inert until something delivers to
-    /// them, and the window caps (memory-event horizon, local-hit cap)
-    /// prove nothing does. What must be clean is everything the per-cycle
-    /// pipeline itself would act on: a queued LSU access would stage
-    /// shared-queue traffic, a staged access or completed block needs the
-    /// commit phase, and an undelivered inbox token needs `respond_local`
-    /// with the token's arrival cycle.
+    /// Window admission: the SM may carry outstanding L1 misses (MSHRs)
+    /// and scheduled local hits into a fused window — both are inert
+    /// until something delivers to them, and the window caps
+    /// (memory-event horizon, local-hit cap) prove nothing does. What
+    /// must be clean is everything the per-cycle pipeline itself would
+    /// act on: a queued LSU access would stage shared-queue traffic, a
+    /// staged access or completed block needs the commit phase, and an
+    /// undelivered inbox token needs `respond_local` with the token's
+    /// arrival cycle.
     pub(crate) fn batch_ready(&self) -> bool {
         self.lsu.is_empty()
             && self.pending.is_none()
@@ -473,46 +428,33 @@ impl Sm {
             && self.completed_scratch.is_empty()
     }
 
-    /// The two batching horizons of this SM for a window whose first tick
-    /// completes at `first` (fixed `period_fs`): `(batched, fused)`.
+    /// How many cycles, starting with the one that completes at `first`
+    /// (fixed `period_fs`), this SM provably does nothing but wait,
+    /// assuming [`Sm::batch_ready`] holds: the bound on a fused window
+    /// ([`Sm::fast_forward_window`]).
     ///
-    /// `batched` bounds windows that still run [`Sm::cycle_local`] every
-    /// tick (the PR 6 discipline, relaxed to [`Sm::batch_ready`]): the
-    /// minimum over schedulable warps of stagger/scoreboard delay plus
-    /// [`Program::issue_runway`], so no shared-state event can occur
-    /// in-window.
-    ///
-    /// `fused` bounds windows that skip the per-cycle pipeline entirely
-    /// and bulk-apply the accounting ([`Sm::fast_forward_window`]): every
-    /// awake warp must be unable to issue for the whole window, i.e. its
-    /// stagger/scoreboard delay alone must cover it. Zero when CCWS is on
-    /// — its issue-mask refresh runs on a fixed cycle cadence inside
-    /// `cycle_local`, which a fused window would skip.
-    ///
-    /// Both horizons are capped by the earliest scheduled local L1 hit:
-    /// a maturing hit delivers a result and wakes a warp, which is an
-    /// in-window event for the fused path and would invalidate the
-    /// sleeping-warp exemption for both. Warps asleep on outstanding
-    /// loads are otherwise exempt — the engine's memory-event horizon
-    /// plus the empty inbox ([`Sm::batch_ready`]) prove no response can
-    /// reach them in-window.
-    pub(crate) fn window_horizons(&self, first: Femtos, period_fs: Femtos) -> (u64, u64) {
-        if !self.completed_scratch.is_empty() {
-            return (0, 0);
+    /// Every awake warp must be unable to issue for the whole window, so
+    /// its stagger/scoreboard delay alone must cover it. Warps asleep on
+    /// outstanding loads are exempt — the engine's memory-event horizon
+    /// plus the empty inbox prove no response can reach them in-window —
+    /// and so are barrier-waiting warps, since release needs a sibling
+    /// to execute `Sync` and nothing issues in the window. The earliest
+    /// scheduled local L1 hit caps the horizon too: a maturing hit
+    /// delivers a result and wakes a warp. Returns as soon as the bound
+    /// drops below 2, the shortest window worth opening.
+    pub(crate) fn fused_horizon(&self, first: Femtos, period_fs: Femtos) -> u64 {
+        debug_assert!(self.ccws.is_none(), "CCWS refreshes its mask every cycle");
+        if self.program.is_none() {
+            return u64::MAX;
         }
-        let Some(program) = self.program.as_deref() else {
-            return (u64::MAX, u64::MAX);
-        };
-        let lr_cap = match self.local_ready.peek() {
+        let mut horizon = match self.local_ready.peek() {
             Some(Reverse((ready, _))) => {
                 crate::clock::ticks_strictly_before(first, period_fs, *ready)
             }
             None => u64::MAX,
         };
-        let mut batched_h = lr_cap;
-        let mut fused_h = if self.ccws.is_some() { 0 } else { lr_cap };
         for warp in self.warps.iter().flatten() {
-            if warp.finished {
+            if warp.finished || warp.at_barrier || warp.pending_loads > 0 {
                 continue;
             }
             if self.blocks[warp.block_slot]
@@ -521,35 +463,22 @@ impl Sm {
             {
                 continue;
             }
-            if warp.at_barrier {
-                // Barrier release is SM-local and can happen in-window
-                // (batched only): bound by the runway from the advanced pc.
-                // No fused constraint — release needs a sibling to
-                // execute `Sync`, and nothing issues in a fused window.
-                batched_h = batched_h.min(program.issue_runway(warp.pc, warp.block_index));
-            } else if warp.pending_loads > 0 {
-                // Asleep on outstanding loads; inert for the whole window
-                // (see above).
-            } else {
-                let d = u64::from(warp.stagger).max(crate::clock::ticks_strictly_before(
-                    first,
-                    period_fs,
-                    warp.ready_at,
-                ));
-                fused_h = fused_h.min(d);
-                batched_h = batched_h
-                    .min(d.saturating_add(program.issue_runway(warp.pc, warp.block_index)));
-            }
-            if batched_h < 2 && fused_h < 2 {
-                return (batched_h, fused_h);
+            let d = u64::from(warp.stagger).max(crate::clock::ticks_strictly_before(
+                first,
+                period_fs,
+                warp.ready_at,
+            ));
+            horizon = horizon.min(d);
+            if horizon < 2 {
+                break;
             }
         }
-        (batched_h, fused_h)
+        horizon
     }
 
     /// Bulk-applies `w` cycles in which this SM provably does nothing:
     /// every awake warp is stalled for the whole window (see
-    /// [`Sm::window_horizons`]), so each per-tick [`Sm::cycle_local`] +
+    /// [`Sm::fused_horizon`]), so each per-tick [`Sm::cycle_local`] +
     /// [`Sm::account_cycle`] pair reduces to the same all-waiting
     /// snapshot, a cycle-counter increment and a stagger decrement. The
     /// additions are plain (not saturating) and the sample count is

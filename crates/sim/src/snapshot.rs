@@ -32,8 +32,8 @@
 //! [`SnapshotError::MachineMismatch`] instead of silently diverging.
 //! Wall-clock-only knobs ([`SimOptions::max_batch_ticks`],
 //! [`SimOptions::fast_forward`]) and the ignored
-//! [`SimOptions::threads`] are excluded: a snapshot taken with batching
-//! off restores bit-identically with it on.
+//! [`SimOptions::threads`] are excluded: a snapshot taken with fused
+//! windows off restores bit-identically with them on.
 //!
 //! Canonical-form rules keep the bytes deterministic:
 //!
@@ -498,7 +498,8 @@ fn fold_clock_config(fold: &mut Fold, c: &ClockConfig) {
 /// `max_batch_ticks` and `fast_forward` are wall-clock-only knobs —
 /// every stepping path is bit-identical at any setting — and `threads`
 /// is ignored, so all three are deliberately excluded: a snapshot taken
-/// per-tick restores onto a batching engine (and vice versa). The
+/// per-tick restores onto an engine that opens fused windows (and vice
+/// versa). The
 /// exhaustive destructuring of [`SimOptions`] below keeps that
 /// exclusion a conscious decision when new options appear.
 pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &SimOptions) -> u64 {
@@ -509,7 +510,7 @@ pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &Si
         max_cycles_per_invocation,
         record_epochs,
         threads: _,         // ignored by the engine
-        max_batch_ticks: _, // wall-clock only: batching never changes results
+        max_batch_ticks: _, // wall-clock only: windows never change results
         fast_forward: _,    // wall-clock only: fast-forward never changes results
     } = options;
     fold.add(*max_cycles_per_invocation);

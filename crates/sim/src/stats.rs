@@ -48,8 +48,8 @@ pub struct InvocationStats {
 /// simulator is deterministic: two runs of the same configuration must
 /// compare equal, and an attached observer must not change the result.
 /// The one exception is [`RunStats::batched_ticks`]: it is a wall-clock
-/// diagnostic (how often the tick-batching fast path engaged) that
-/// legitimately varies with `SimOptions::max_batch_ticks`, so the manual
+/// diagnostic (how often fused windows engaged) that legitimately
+/// varies with `SimOptions::max_batch_ticks`, so the manual
 /// [`PartialEq`] below excludes it.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -71,10 +71,10 @@ pub struct RunStats {
     pub mem_events: [MemLevelStats; 3],
     /// Whole-run warp-state counters summed over SMs (Figure 4).
     pub warp_states: WarpStateCounters,
-    /// SM ticks executed inside provably interaction-free batched
-    /// windows (see `Engine::batched_ticks`). Divide by total SM cycles
-    /// (`sm_cycles_at` summed × `num_sms`) for the batch-window hit
-    /// rate. Counts both batched windows and fused stall windows.
+    /// SM-domain ticks executed inside fused stall windows (see
+    /// `Engine::batched_ticks`). The field counts machine ticks, once
+    /// per window whatever the SM count, so the window coverage is
+    /// `batched_ticks / Σ sm_cycles_at`, with no `× num_sms`.
     /// Diagnostic only: varies with
     /// `SimOptions::max_batch_ticks` and `SimOptions::fast_forward`,
     /// and is excluded from equality.

@@ -1,8 +1,8 @@
-//! Hot-path telemetry: the batch-window diagnostic.
+//! Hot-path telemetry: the fused-window diagnostic.
 //!
-//! [`BatchWindowStats`] breaks down tick batching: how many windows
-//! opened, their size distribution, what bounded each window, and why
-//! each per-tick fallback happened. It is **diagnostic only**: kept
+//! [`BatchWindowStats`] breaks down the engine's fused stall windows:
+//! how many opened, their size distribution, what bounded each window,
+//! and why each per-tick fallback happened. It is **diagnostic only**: kept
 //! outside [`crate::stats::RunStats`] and outside the snapshot codec,
 //! so reading it never changes results. The counters are plain
 //! integers recorded unconditionally — the cost is one enum match per
@@ -13,35 +13,30 @@
 /// shorter than 2), with the last bucket absorbing everything larger.
 pub const WINDOW_SIZE_BUCKETS: usize = 11;
 
-/// Why an SM tick could not open (or extend) a batched window, in the
-/// order the proof obligations are checked by `Engine`.
+/// Why an SM tick could not open a fused window, in the order the
+/// proof obligations are checked by `Engine`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchClose {
-    /// Batching is off for this machine: per-SM VRMs, or the
-    /// `max_batch_ticks` knob is below 2.
+    /// Windows are off for this machine: per-SM VRMs, CCWS,
+    /// `SimOptions::fast_forward` off, or the `max_batch_ticks` knob
+    /// below 2.
     Disabled,
     /// A VF transition is pending on the SM or memory domain, so
     /// in-window tick times cannot be frozen.
     VfTransition,
-    /// The memory system is not quiescent: a delivery could reach an SM
-    /// inside the window. Only reported with `SimOptions::fast_forward`
-    /// off (the PR 6 blanket check); with it on, memory-active ticks
-    /// close as [`BatchClose::MemHorizon`] instead, and only when the
-    /// horizon is genuinely short.
-    MemoryActive,
+    /// The distance to the next epoch boundary or to the cycle-limit
+    /// check leaves no room for a window of at least 2 ticks.
+    EpochOrCycleCap,
+    /// Some SM's pipeline is busy: a queued or staged access, an
+    /// undelivered response or an unretired block.
+    SmActive,
     /// The memory system's next-event horizon is too short: a response
     /// could become ready for some SM within any window of at least 2
     /// ticks ([`crate::memsys::MemSystem::next_event_time`]).
     MemHorizon,
-    /// The distance to the next epoch boundary or to the cycle-limit
-    /// check leaves no room for a window of at least 2 ticks.
-    EpochOrCycleCap,
-    /// Some SM is not quiescent (staged access or non-empty queues).
-    SmActive,
-    /// Some SM's issue runway ([`crate::sm::Sm::batch_horizon`]) is too
-    /// short: a schedulable warp could reach memory or retire within
-    /// the window.
-    IssueRunway,
+    /// Some SM's stall horizon is too short: an awake warp could issue,
+    /// or a local L1 hit mature, within any window of at least 2 ticks.
+    StallHorizon,
 }
 
 /// What capped the length of a window that did open.
@@ -53,14 +48,14 @@ pub enum WindowBound {
     EpochCap,
     /// The cycle-limit check.
     LimitCap,
-    /// The shortest per-SM issue runway.
+    /// The shortest per-SM stall horizon.
     Horizon,
     /// The memory system's next-event horizon: the window ends strictly
     /// before the earliest cycle at which a response could be ready.
     MemHorizon,
 }
 
-/// Engine-thread breakdown of tick batching: window sizes, what bounded
+/// Engine-thread breakdown of fused windows: window sizes, what bounded
 /// them, and why per-tick fallbacks happened.
 ///
 /// Replaces the bare `Engine::batched_ticks` count as the profiling
@@ -70,7 +65,7 @@ pub enum WindowBound {
 /// by the engine's own proof attempts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchWindowStats {
-    /// Batched windows opened.
+    /// Windows opened.
     pub windows: u64,
     /// SM ticks executed inside those windows (equals
     /// `Engine::batched_ticks`).
@@ -84,43 +79,38 @@ pub struct BatchWindowStats {
     pub bounded_by_epoch: u64,
     /// Windows capped by the cycle-limit check.
     pub bounded_by_limit: u64,
-    /// Windows capped by the shortest per-SM issue runway.
+    /// Windows capped by the shortest per-SM stall horizon.
     pub bounded_by_horizon: u64,
     /// Windows capped by the memory system's next-event horizon.
     pub bounded_by_mem_horizon: u64,
-    /// Fused fast-forward windows (all SMs provably stalled, per-cycle
-    /// work skipped entirely) — a subset of `windows`.
+    /// Fused windows (all SMs provably stalled, per-cycle work skipped
+    /// entirely). Every window is fused, so this equals `windows`.
     pub fused_windows: u64,
-    /// SM ticks inside fused windows — a subset of `ticks`.
+    /// SM ticks inside fused windows; equals `ticks`.
     pub fused_ticks: u64,
-    /// Per-tick fallbacks: batching disabled for the machine.
+    /// Per-tick fallbacks: windows disabled for the machine.
     pub closed_disabled: u64,
     /// Per-tick fallbacks: pending VF transition.
     pub closed_vf_transition: u64,
-    /// Per-tick fallbacks: memory system active (fast-forward off only).
-    pub closed_memory_active: u64,
-    /// Per-tick fallbacks: the memory next-event horizon was too short.
-    pub closed_mem_horizon: u64,
     /// Per-tick fallbacks: epoch/cycle cap left no room.
     pub closed_epoch_or_cycle_cap: u64,
-    /// Per-tick fallbacks: an SM was not quiescent.
+    /// Per-tick fallbacks: an SM's pipeline was busy.
     pub closed_sm_active: u64,
-    /// Per-tick fallbacks: an SM's issue runway was too short.
-    pub closed_issue_runway: u64,
+    /// Per-tick fallbacks: the memory next-event horizon was too short.
+    pub closed_mem_horizon: u64,
+    /// Per-tick fallbacks: an SM's stall horizon was too short.
+    pub closed_stall_horizon: u64,
 }
 
 impl BatchWindowStats {
-    /// Records a window of `w` ticks whose length was capped by `bound`;
-    /// `fused` marks the fully-stalled fast-forward kind.
-    pub(crate) fn record_window(&mut self, w: u64, bound: WindowBound, fused: bool) {
+    /// Records a window of `w` ticks whose length was capped by `bound`.
+    pub(crate) fn record_window(&mut self, w: u64, bound: WindowBound) {
         self.windows += 1;
         // Saturating: a diagnostic must never abort a run, and the sum
         // can only saturate when `w` itself is near the u64 horizon.
         self.ticks = self.ticks.saturating_add(w);
-        if fused {
-            self.fused_windows += 1;
-            self.fused_ticks = self.fused_ticks.saturating_add(w);
-        }
+        self.fused_windows = self.windows;
+        self.fused_ticks = self.ticks;
         // w >= 2 always, so floor(log2(w)) >= 1.
         let log2 = 63 - u64::leading_zeros(w.max(2)) as usize;
         let bucket = (log2 - 1).min(WINDOW_SIZE_BUCKETS - 1);
@@ -139,11 +129,10 @@ impl BatchWindowStats {
         match close {
             BatchClose::Disabled => self.closed_disabled += 1,
             BatchClose::VfTransition => self.closed_vf_transition += 1,
-            BatchClose::MemoryActive => self.closed_memory_active += 1,
-            BatchClose::MemHorizon => self.closed_mem_horizon += 1,
             BatchClose::EpochOrCycleCap => self.closed_epoch_or_cycle_cap += 1,
             BatchClose::SmActive => self.closed_sm_active += 1,
-            BatchClose::IssueRunway => self.closed_issue_runway += 1,
+            BatchClose::MemHorizon => self.closed_mem_horizon += 1,
+            BatchClose::StallHorizon => self.closed_stall_horizon += 1,
         }
     }
 
@@ -151,11 +140,10 @@ impl BatchWindowStats {
     pub fn closes_total(&self) -> u64 {
         self.closed_disabled
             + self.closed_vf_transition
-            + self.closed_memory_active
-            + self.closed_mem_horizon
             + self.closed_epoch_or_cycle_cap
             + self.closed_sm_active
-            + self.closed_issue_runway
+            + self.closed_mem_horizon
+            + self.closed_stall_horizon
     }
 }
 
@@ -166,11 +154,11 @@ mod tests {
     #[test]
     fn window_sizes_land_in_log2_buckets() {
         let mut stats = BatchWindowStats::default();
-        stats.record_window(2, WindowBound::Knob, false);
-        stats.record_window(3, WindowBound::Knob, false);
-        stats.record_window(4, WindowBound::EpochCap, false);
-        stats.record_window(1024, WindowBound::Knob, false);
-        stats.record_window(u64::MAX, WindowBound::Horizon, false);
+        stats.record_window(2, WindowBound::Knob);
+        stats.record_window(3, WindowBound::Knob);
+        stats.record_window(4, WindowBound::EpochCap);
+        stats.record_window(1024, WindowBound::Knob);
+        stats.record_window(u64::MAX, WindowBound::Horizon);
         assert_eq!(stats.size_histogram[0], 2, "2 and 3 share the first bucket");
         assert_eq!(stats.size_histogram[1], 1);
         assert_eq!(stats.size_histogram[9], 1, "1024 = 2^10");
@@ -179,18 +167,18 @@ mod tests {
         assert_eq!(stats.bounded_by_knob, 3);
         assert_eq!(stats.bounded_by_epoch, 1);
         assert_eq!(stats.bounded_by_horizon, 1);
-        assert_eq!(stats.fused_windows, 0);
+        assert_eq!(stats.fused_windows, stats.windows);
     }
 
     #[test]
     fn fused_windows_and_mem_horizon_bounds_are_tracked() {
         let mut stats = BatchWindowStats::default();
-        stats.record_window(16, WindowBound::MemHorizon, true);
-        stats.record_window(8, WindowBound::Knob, false);
+        stats.record_window(16, WindowBound::MemHorizon);
+        stats.record_window(8, WindowBound::Knob);
         assert_eq!(stats.windows, 2);
         assert_eq!(stats.ticks, 24);
-        assert_eq!(stats.fused_windows, 1);
-        assert_eq!(stats.fused_ticks, 16);
+        assert_eq!(stats.fused_windows, 2);
+        assert_eq!(stats.fused_ticks, 24);
         assert_eq!(stats.bounded_by_mem_horizon, 1);
     }
 
@@ -198,12 +186,13 @@ mod tests {
     fn close_reasons_accumulate_and_total() {
         let mut stats = BatchWindowStats::default();
         stats.record_close(BatchClose::Disabled);
-        stats.record_close(BatchClose::MemoryActive);
-        stats.record_close(BatchClose::MemoryActive);
+        stats.record_close(BatchClose::SmActive);
+        stats.record_close(BatchClose::SmActive);
         stats.record_close(BatchClose::MemHorizon);
-        stats.record_close(BatchClose::IssueRunway);
-        assert_eq!(stats.closed_memory_active, 2);
+        stats.record_close(BatchClose::StallHorizon);
+        assert_eq!(stats.closed_sm_active, 2);
         assert_eq!(stats.closed_mem_horizon, 1);
+        assert_eq!(stats.closed_stall_horizon, 1);
         assert_eq!(stats.closes_total(), 5);
     }
 }

@@ -1,5 +1,5 @@
 //! Snapshot/restore correctness: a run resumed from a mid-run snapshot
-//! must be bit-identical to an uninterrupted run, with tick batching on
+//! must be bit-identical to an uninterrupted run, with fused windows on
 //! or off, and malformed snapshot bytes must fail with a typed error —
 //! never a panic.
 
@@ -87,7 +87,7 @@ fn resume_is_bit_identical_across_batching() {
         run_to_epoch(&mut engine, 2);
         let bytes = engine.snapshot();
         // The fingerprint excludes the wall-clock-only knobs, so a
-        // snapshot taken with batching on or off restores under either.
+        // snapshot taken with windows on or off restores under either.
         for resume_with in variants {
             let mut restored = Engine::restore(&config, &kernel, resume_with, &bytes).unwrap();
             assert_eq!(

@@ -37,9 +37,9 @@
 //! the same metric name either.
 //!
 //! `no-shared-mut-in-local-phase` guards the simulator's two-phase cycle:
-//! batched windows run `Sm::cycle_local` on every SM with no commit in
-//! between, which is exact only if the local phase leaves shared state
-//! alone, so no function it can reach may take the shared memory system
+//! the local phase (`Sm::cycle_local`) leaves shared state to the commit,
+//! where cross-SM interaction resolves in the engine's rotated service
+//! order, so no function it can reach may take the shared memory system
 //! or block dispatcher mutably.
 //! The pass extracts `fn` definitions from the comment-stripped source,
 //! walks the call graph from every `cycle_local`, and flags reachable
@@ -445,8 +445,7 @@ fn has_doc_above(scanned: &Scanned, item_idx: usize) -> bool {
 }
 
 /// The root of the local phase: every function reachable from a
-/// definition with this name may run inside a batched window, with no
-/// commit in between.
+/// definition with this name must leave shared state to the commit.
 const LOCAL_PHASE_ROOT: &str = "cycle_local";
 
 /// Types shared across SMs that may only be mutated during the serial

@@ -19,8 +19,7 @@
 //!   `target/analyze-report.json`), a `sim-report` artifact smoke test,
 //!   the fast-forward gate (`sim-ffcheck`: bit-identical `RunStats`
 //!   with `SimOptions::fast_forward` on vs off under every governor,
-//!   ≥ 50% batched-tick coverage on a stall-heavy workload, and a
-//!   ≥ 1.5× median serial speedup on 15-SM `mri-q`; runs on any core
+//!   and a ≥ 1.5× median serial speedup on 15-SM `mri-q`; runs on any core
 //!   count), a benchmark golden check (the benchmark's unit tests, then
 //!   its `sweep-memory` workload at seed 0 must report
 //!   `"correct":true`), a `BENCH_sim.json` regeneration via the
@@ -319,14 +318,12 @@ fn cmd_ci() -> i32 {
         return 1;
     }
 
-    // Fast-forward gate: the event-driven batching must be invisible in
-    // results and visible in wall clock. `sim-ffcheck` runs in-process
-    // simulations asserting (1) RunStats bit-identity between
-    // `fast_forward` on and off under every governor family, (2) >= 50% batched-tick coverage on a
-    // stall-heavy workload (and strictly-better-than-quiescence
-    // coverage on the issue-saturated `mri-q`, which cannot reach 50%),
-    // and (3) a >= 1.5x median serial speedup on 15-SM `mri-q` over
-    // interleaved on/off pairs. A single core is enough: the fast path
+    // Fast-forward gate: fused windows and the fast-issue cuts must be
+    // invisible in results and visible in wall clock. `sim-ffcheck` runs
+    // in-process simulations asserting (1) RunStats bit-identity between
+    // `fast_forward` on and off under every governor family, and (2) a
+    // >= 1.5x median serial speedup on 15-SM `mri-q` over interleaved
+    // on/off pairs. A single core is enough: the fast path
     // skips work rather than spreading it, so this gate never skips.
     if !run_step(
         &cargo,

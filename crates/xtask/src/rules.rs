@@ -494,11 +494,12 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "local-phase-purity",
         "local-phase-purity (error)\n\
          \n\
-         Why: batched windows run `Sm::cycle_local` on every SM with no\n\
-         commit in between. A window is bit-identical to per-tick steps\n\
-         only if nothing reachable from it writes shared state or reads\n\
-         ambient state — including writes hidden behind RefCell/Mutex/\n\
-         atomics that no signature reveals. This rule infers effects per function and\n\
+         Why: each SM cycle is a local phase (`Sm::cycle_local`, per-SM\n\
+         state only) followed by a commit, so cross-SM interaction resolves\n\
+         at one point, in the engine's rotated service order. Fused windows\n\
+         skip whole local phases, which is exact only if nothing reachable\n\
+         from one writes shared state or reads ambient state — including\n\
+         writes hidden behind RefCell/Mutex/atomics that no signature reveals. This rule infers effects per function and\n\
          propagates them over the call graph (through `Self::` calls, UFCS,\n\
          turbofish, closures), so a violation three helpers deep is found.\n\
          \n\

@@ -74,13 +74,13 @@ const EXPECTED: [u64; 48] = [
     0xed3c372ef14e1d6b,
     0x9c23f9c39e4a0164,
     0xe30858cba4fa5990,
-    0x529e3dc8d05e770d,
+    0xcdd18a9d56a3d691,
     0x8a57be5f4871a95e,
     0x3dfdbb524f6bdd6c,
     0xcd522271b3878b08,
     0xea5648c65b472588,
     0x3dfdbb524f6bdd6c,
-    0x3dfdbb524f6bdd6c,
+    0xde71ecc20deaff9e,
     0x748ca49db86c096a,
 ];
 
@@ -282,7 +282,7 @@ fn cases() -> Vec<(GpuConfig, KernelSpec)> {
 }
 
 /// The default options, or the per-tick reference that never opens a
-/// batched window.
+/// fused window.
 fn opts(per_tick: bool) -> SimOptions {
     let default = SimOptions::default();
     if per_tick {
@@ -437,15 +437,22 @@ fn run(config: &GpuConfig, kernel: &KernelSpec, gov: Gov, per_tick: bool) -> Run
         .unwrap_or_else(|e| panic!("{gov:?} on {}: {e}", kernel.name()))
 }
 
-/// Kernels on which batched windows end the invocation late. Their last
+/// Kernels on which fused windows end the invocation late. Their last
 /// block retires with stores still in flight; once the memory system
 /// drains, the idle SMs open a window that runs to the next epoch
 /// boundary, and only the per-tick step there notices the invocation is
 /// over. Per-tick stepping stops on the first drained tick. The pinned
-/// digests record the batched (default) runs, as the repository
-/// benchmark's golden digests do, so fixing the defect re-pins both.
-/// Machines with per-SM VRMs never batch and are exempt.
+/// digests record the default runs, as the repository benchmark's
+/// golden digests do, so fixing the defect re-pins both. Only governors
+/// that can open a fused window overshoot ([`overshoots`]).
 const TERMINATION_OVERSHOOT: [&str; 2] = ["digest-wide", "digest-mem"];
+
+/// Whether `gov` on `kernel` records the termination overshoot. Per-SM
+/// VRMs and CCWS open no fused window, so they end on the per-tick
+/// reference's cycle.
+fn overshoots(kernel: &KernelSpec, gov: Gov) -> bool {
+    TERMINATION_OVERSHOOT.contains(&kernel.name()) && !matches!(gov, Gov::PerSmVrm | Gov::Ccws)
+}
 
 /// Asserts that `fast` differs from the per-tick `reference` only by
 /// the termination overshoot: same work and the same epochs up to the
@@ -470,8 +477,8 @@ fn table(digests: &[u64]) -> String {
 
 /// Every (kernel, governor) pair matches its pinned digest with the
 /// default options, and per-tick stepping gives the same `RunStats`
-/// (bar [`TERMINATION_OVERSHOOT`]); the governors demonstrably act on
-/// the way.
+/// (bar [`TERMINATION_OVERSHOOT`]), so every other pinned digest is the
+/// per-tick reference's too; the governors demonstrably act on the way.
 #[test]
 fn run_stats_match_pinned_digests() {
     let all = cases();
@@ -499,7 +506,7 @@ fn run_stats_match_pinned_digests() {
         for gov in GOVERNORS {
             let reference = run(config, kernel, gov, true);
             let fast = run(config, kernel, gov, false);
-            if TERMINATION_OVERSHOOT.contains(&kernel.name()) && !matches!(gov, Gov::PerSmVrm) {
+            if overshoots(kernel, gov) {
                 assert_overshoots_termination(config, &reference, &fast);
             } else {
                 assert_eq!(
@@ -538,7 +545,7 @@ fn run_stats_match_pinned_digests() {
 #[test]
 fn snapshot_restore_matches_pinned_digests() {
     let all = cases();
-    // A random multi-epoch kernel per-tick, the memory kernel batched.
+    // A random multi-epoch kernel per-tick, the memory kernel with the default options.
     for (k, per_tick) in [(1, true), (all.len() - 1, false)] {
         let (config, kernel) = &all[k];
         for (i, gov) in GOVERNORS.into_iter().enumerate() {
@@ -575,4 +582,19 @@ fn digest_covers_results_but_not_batched_ticks() {
     assert_eq!(digest(&stats), base);
     stats.warp_states.excess_mem = 1;
     assert_ne!(digest(&stats), base);
+}
+
+/// CCWS opens no fused window, so a kernel whose stores drain after its
+/// last block retired ends on the same SM cycle as per-tick stepping.
+#[test]
+fn ccws_run_ends_on_the_per_tick_cycle() {
+    let all = cases();
+    let (config, kernel) = all.last().unwrap();
+    assert_eq!(kernel.name(), "digest-mem");
+    let end = |gov, per_tick| run(config, kernel, gov, per_tick).invocations[0].sm_cycles;
+    assert!(
+        end(Gov::Baseline, false) > end(Gov::Baseline, true),
+        "the kernel must drain stores after its last block, as the baseline's overshoot shows"
+    );
+    assert_eq!(end(Gov::Ccws, false), end(Gov::Ccws, true));
 }

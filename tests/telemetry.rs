@@ -1,4 +1,4 @@
-//! The batch-window diagnostic is observation only and says something
+//! The fused-window diagnostic is observation only and says something
 //! coherent about the run: reading it never changes a bit of
 //! `RunStats`, and its counts are deterministic.
 
@@ -30,29 +30,31 @@ fn windowed_run(
 fn window_diagnostics_are_coherent() {
     let mut config = GpuConfig::gtx480();
     config.num_sms = 4;
-    // A long pure-ALU kernel so batched windows actually open.
+    // Few warps, each issuing one streaming load and then crawling
+    // through a long dependence chain: most cycles every warp is asleep,
+    // so fused windows actually open.
+    let mut body = vec![Instr::load_streaming()];
+    body.extend(std::iter::repeat_with(Instr::alu_dep).take(96));
     let kernel = KernelSpec::new(
-        "telemetry-alu",
-        KernelCategory::Compute,
-        4,
-        8,
+        "telemetry-stall",
+        KernelCategory::Memory,
+        2,
+        2,
         vec![Invocation {
-            grid_blocks: 24,
-            program: Arc::new(Program::new(vec![Segment::new(
-                vec![Instr::alu(), Instr::alu_dep()],
-                3000,
-            )])),
+            grid_blocks: 16,
+            program: Arc::new(Program::new(vec![Segment::new(body, 12)])),
         }],
     );
     let (stats, windows) = windowed_run(&config, &kernel, SimOptions::default());
 
     // The diagnostic is recorded unconditionally and is internally
     // coherent.
-    assert!(windows.windows > 0, "ALU kernel must open windows");
-    assert!(
-        windows.windows > windows.fused_windows,
-        "some windows run the SM pipeline"
+    assert!(windows.windows > 0, "the stall kernel must open windows");
+    assert_eq!(
+        windows.windows, windows.fused_windows,
+        "every window is fused"
     );
+    assert_eq!(windows.ticks, windows.fused_ticks);
     assert_eq!(windows.ticks, stats.batched_ticks, "diagnostic ticks agree");
     assert_eq!(
         windows.size_histogram.iter().sum::<u64>(),
@@ -63,17 +65,18 @@ fn window_diagnostics_are_coherent() {
         windows.bounded_by_knob
             + windows.bounded_by_epoch
             + windows.bounded_by_limit
-            + windows.bounded_by_horizon,
+            + windows.bounded_by_horizon
+            + windows.bounded_by_mem_horizon,
         windows.windows,
         "every window records exactly one binding bound"
     );
     assert!(
         windows.closes_total() > 0,
-        "memory phases must close some windows"
+        "issuing warps must close some windows"
     );
 
     // Per-SM VRMs never open a window: every SM step falls back to
-    // per-tick stepping with batching disabled.
+    // per-tick stepping with windows disabled.
     config.per_sm_vrm = true;
     let (_, windows) = windowed_run(&config, &kernel, SimOptions::default());
     assert_eq!(windows.windows, 0);

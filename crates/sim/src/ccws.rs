@@ -50,6 +50,9 @@ pub struct CcwsState {
     allowed: Vec<bool>,
     /// Count of lost-locality events (reporting).
     lost_locality_events: u64,
+    /// Scratch for [`CcwsState::refresh`]'s ranking, reused so a refresh
+    /// allocates nothing. Not serialized: every refresh rewrites it.
+    order: Vec<usize>,
 }
 
 impl CcwsState {
@@ -61,6 +64,7 @@ impl CcwsState {
             lls: vec![0; num_warps],
             allowed: vec![true; num_warps],
             lost_locality_events: 0,
+            order: Vec::new(),
         }
     }
 
@@ -95,18 +99,22 @@ impl CcwsState {
         }
         // Rank warps by score (descending) and admit a prefix whose
         // cumulative score fits within num_warps * base_score.
+        // Ties rank by slot, the order a stable sort of `0..n` gives; the
+        // in-place sort needs no scratch allocation.
         let cutoff = self.config.base_score as u64 * self.lls.len() as u64;
-        let mut order: Vec<usize> = (0..self.lls.len()).collect();
-        order.sort_by_key(|&w| std::cmp::Reverse(self.lls[w]));
+        self.order.clear();
+        self.order.extend(0..self.lls.len());
+        self.order
+            .sort_unstable_by_key(|&w| (std::cmp::Reverse(self.lls[w]), w));
         let mut cumulative = 0u64;
-        for &w in &order {
+        for &w in &self.order {
             let score = u64::from(self.lls[w]) + u64::from(self.config.base_score);
             cumulative += score;
             self.allowed[w] = cumulative <= cutoff;
         }
         // Never starve completely: the highest-scoring warp is always
         // allowed (it owns the locality being protected).
-        if let Some(&top) = order.first() {
+        if let Some(&top) = self.order.first() {
             self.allowed[top] = true;
         }
     }

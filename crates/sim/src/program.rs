@@ -291,8 +291,11 @@ impl AddressGen {
     /// array slices), so cache sets are used uniformly — a `uid << k`
     /// layout would alias every warp onto the same sets and thrash by
     /// conflict alone.
+    ///
+    /// A pure function of its arguments: the SM's LD/ST unit relies on
+    /// it to hold a refused access staged instead of re-deriving it.
     pub fn line_addr(
-        &mut self,
+        &self,
         pattern: AddressPattern,
         sm_id: usize,
         warp_uid: u64,
@@ -324,7 +327,6 @@ impl AddressGen {
                 SHARED_REGION + (sm_id as u64) * 1_000_003 + idx
             }
         };
-        let _ = &self.rng; // reserved for future stochastic patterns
         line * self.line_bytes
     }
 
@@ -530,7 +532,7 @@ mod tests {
 
     #[test]
     fn streaming_addresses_never_repeat_within_warp() {
-        let mut gen = AddressGen::new(128, 1);
+        let gen = AddressGen::new(128, 1);
         let mut seen = std::collections::HashSet::new();
         for counter in 0..1000 {
             let a = gen.line_addr(AddressPattern::Streaming, 0, 5, counter, 0);
@@ -540,7 +542,7 @@ mod tests {
 
     #[test]
     fn working_set_addresses_bounded() {
-        let mut gen = AddressGen::new(128, 2);
+        let gen = AddressGen::new(128, 2);
         for counter in 0..1000 {
             let a = gen.line_addr(AddressPattern::WorkingSet { lines: 16 }, 0, 3, counter, 0);
             let line = a / 128;
@@ -553,7 +555,7 @@ mod tests {
 
     #[test]
     fn working_set_covers_whole_footprint() {
-        let mut gen = AddressGen::new(128, 2);
+        let gen = AddressGen::new(128, 2);
         let mut seen = std::collections::HashSet::new();
         for counter in 0..2000 {
             let a = gen.line_addr(AddressPattern::WorkingSet { lines: 16 }, 0, 0, counter, 0);
@@ -564,8 +566,8 @@ mod tests {
 
     #[test]
     fn working_set_is_order_independent() {
-        let mut g1 = AddressGen::new(128, 1);
-        let mut g2 = AddressGen::new(128, 999);
+        let g1 = AddressGen::new(128, 1);
+        let g2 = AddressGen::new(128, 999);
         let p = AddressPattern::WorkingSet { lines: 32 };
         // Same (uid, counter, access) yields the same address regardless of
         // generator state or seed.
@@ -574,8 +576,8 @@ mod tests {
 
     #[test]
     fn shared_addresses_alias_across_warps() {
-        let mut g1 = AddressGen::new(128, 3);
-        let mut g2 = AddressGen::new(128, 4);
+        let g1 = AddressGen::new(128, 3);
+        let g2 = AddressGen::new(128, 4);
         let a = g1.line_addr(AddressPattern::Shared { lines: 4 }, 2, 10, 0, 0);
         let b = g2.line_addr(AddressPattern::Shared { lines: 4 }, 2, 99, 0, 0);
         assert_eq!(a, b, "shared pattern should alias across warps of an SM");
@@ -583,7 +585,7 @@ mod tests {
 
     #[test]
     fn different_warps_never_alias_private_patterns() {
-        let mut gen = AddressGen::new(128, 5);
+        let gen = AddressGen::new(128, 5);
         let a = gen.line_addr(AddressPattern::Streaming, 0, 1, 0, 0);
         let b = gen.line_addr(AddressPattern::Streaming, 0, 2, 0, 0);
         assert_ne!(a, b);

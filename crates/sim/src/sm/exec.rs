@@ -9,6 +9,11 @@
 //! need the shared interconnect/texture queues are classified into a
 //! [`super::PendingAccess`] and resolved in the serial commit phase,
 //! where `can_accept` back-pressure is arbitrated in service order.
+//!
+//! A refused access stays staged until a commit injects it; the local
+//! half does no work in the meantime (see [`Sm::lsu_local`] for why the
+//! held classification cannot go stale). Outstanding misses live in the
+//! flat MSHR file of `super::mshr`.
 
 use std::cmp::Reverse;
 
@@ -17,7 +22,20 @@ use crate::config::Femtos;
 use crate::memsys::{MemReq, MemSystem};
 use crate::program::MemSpace;
 
-use super::{PendingAccess, Sm};
+use super::{LsuEntry, PendingAccess, Sm};
+
+/// What the LD/ST unit does with its head access in the local phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HeadAction {
+    /// Secondary miss: join the outstanding MSHR entry at this index.
+    Merge(usize),
+    /// L1 hit on this address: completes after the hit latency.
+    Hit(u64),
+    /// Needs the shared interconnect or texture queue.
+    Stage(PendingAccess),
+    /// The MSHR file is full: head-of-line stall.
+    Stall,
+}
 
 impl Sm {
     /// Delivers memory responses (global/texture) from the pre-drained
@@ -27,10 +45,11 @@ impl Sm {
     pub(super) fn respond_local(&mut self, now: Femtos, completed_blocks: &mut Vec<usize>) {
         let mut buf = std::mem::take(&mut self.inbox);
         for token in buf.drain(..) {
-            if let Some(waiters) = self.mshr.remove(&token) {
-                for ws in waiters {
+            if let Some(waiters) = self.mshr.remove(token) {
+                for &ws in &waiters {
                     self.deliver_load(ws, completed_blocks);
                 }
+                self.mshr.recycle(waiters);
             }
         }
         self.inbox = buf;
@@ -73,11 +92,62 @@ impl Sm {
     /// stages it as a [`PendingAccess`] for the commit phase when it
     /// must be injected into the shared queues. A full MSHR file stalls
     /// the head of line right here.
+    ///
+    /// An access the shared queue refused stays staged, and this stage
+    /// does nothing until a commit injects it: re-classifying it would
+    /// stage the same access again. Its address is a pure function of
+    /// the LSU entry; only this LSU head fills the L1 or allocates MSHR
+    /// entries; responses only free entries. So "not in the L1", "no
+    /// entry for this line" and "the MSHR file has room" all stay true
+    /// while it waits.
     pub(super) fn lsu_local(&mut self, now: Femtos, li: usize, period_fs: Femtos) {
-        debug_assert!(self.pending.is_none(), "pending access not committed");
+        if self.pending.is_some() {
+            crate::validate_assert!(
+                self.lsu.front().map(|head| self.classify_head(head))
+                    == self.pending.map(HeadAction::Stage),
+                "SM {}: held LSU access {:?} no longer classifies as staged",
+                self.id,
+                self.pending
+            );
+            return;
+        }
         let Some(head) = self.lsu.front().copied() else {
             return;
         };
+        match self.classify_head(&head) {
+            HeadAction::Merge(i) => {
+                // Secondary miss: merge into the outstanding MSHR. Texture
+                // accesses bypass the L1 and its counters.
+                if head.instr.space != MemSpace::Texture {
+                    self.events[li].l1_accesses += 1;
+                }
+                if head.instr.is_load {
+                    self.mshr.add_waiter(i, head.warp_slot);
+                }
+                self.advance_lsu_head();
+            }
+            HeadAction::Hit(addr) => {
+                self.events[li].l1_accesses += 1;
+                self.events[li].l1_hits += 1;
+                let hit = self.l1.access(addr);
+                debug_assert_eq!(hit, Lookup::Hit);
+                if head.instr.is_load {
+                    let ready = now + Femtos::from(self.l1_hit_latency) * period_fs;
+                    self.local_ready.push(Reverse((ready, head.warp_slot)));
+                }
+                self.advance_lsu_head();
+            }
+            // Primary miss or texture access: needs a shared-queue slot,
+            // decided at commit.
+            HeadAction::Stage(p) => self.pending = Some(p),
+            // MSHRs exhausted: head-of-line stall, retry next cycle.
+            HeadAction::Stall => {}
+        }
+    }
+
+    /// What the LD/ST unit would do with `head` now. Reads only this
+    /// SM's MSHR file and L1; texture accesses bypass the L1.
+    fn classify_head(&self, head: &LsuEntry) -> HeadAction {
         let addr = self.addr_gen.line_addr(
             head.instr.pattern,
             self.id,
@@ -86,67 +156,36 @@ impl Sm {
             head.next_access,
         );
         let line = addr / self.l1.config().line_bytes;
-
-        if head.instr.space == MemSpace::Texture {
-            // Texture path: bypass L1; deep queue hides back-pressure.
-            if let Some(waiters) = self.mshr.get_mut(&line) {
-                if head.instr.is_load {
-                    waiters.push(head.warp_slot);
-                }
-                self.advance_lsu_head();
-            } else if self.mshr.len() < self.mshr_cap {
-                self.pending = Some(PendingAccess {
-                    line,
-                    addr,
-                    is_load: head.instr.is_load,
-                    texture: true,
-                    warp_slot: head.warp_slot,
-                });
-            }
-            return;
-        }
-
-        if let Some(waiters) = self.mshr.get_mut(&line) {
-            // Secondary miss: merge into the outstanding MSHR.
-            self.events[li].l1_accesses += 1;
-            if head.instr.is_load {
-                waiters.push(head.warp_slot);
-            }
-            self.advance_lsu_head();
-        } else if self.l1.contains(addr) {
-            self.events[li].l1_accesses += 1;
-            self.events[li].l1_hits += 1;
-            let hit = self.l1.access(addr);
-            debug_assert_eq!(hit, Lookup::Hit);
-            if head.instr.is_load {
-                let ready = now + Femtos::from(self.l1_hit_latency) * period_fs;
-                self.local_ready.push(Reverse((ready, head.warp_slot)));
-            }
-            self.advance_lsu_head();
-        } else if self.mshr.len() < self.mshr_cap {
-            // Primary miss: needs an interconnect slot, decided at commit.
-            self.pending = Some(PendingAccess {
+        let texture = head.instr.space == MemSpace::Texture;
+        if let Some(i) = self.mshr.find(line) {
+            HeadAction::Merge(i)
+        } else if !texture && self.l1.contains(addr) {
+            HeadAction::Hit(addr)
+        } else if self.mshr.is_full() {
+            HeadAction::Stall
+        } else {
+            HeadAction::Stage(PendingAccess {
                 line,
                 addr,
                 is_load: head.instr.is_load,
-                texture: false,
+                texture,
                 warp_slot: head.warp_slot,
-            });
+            })
         }
-        // MSHRs exhausted: head-of-line stall, retry next cycle.
     }
 
     /// The LD/ST unit's commit half: injects the staged access if the
-    /// target shared queue has room; a back-pressured interconnect
-    /// leaves the head of line in place for the next cycle. Runs in the
-    /// engine's rotated service order.
+    /// target shared queue has room; a back-pressured queue leaves it
+    /// staged for the next cycle's commit. Runs in the engine's rotated
+    /// service order.
     pub(super) fn commit_pending(&mut self, li: usize, mem: &mut MemSystem) {
-        let Some(p) = self.pending.take() else {
+        let Some(p) = self.pending else {
             return;
         };
         if !mem.can_accept(p.texture) {
-            return; // Head-of-line stall; reclassified next cycle.
+            return; // Head-of-line stall; the access stays staged.
         }
+        self.pending = None;
         if !p.texture {
             self.events[li].l1_accesses += 1;
             let miss = self.l1.access(p.addr);
@@ -163,7 +202,7 @@ impl Sm {
             texture: p.texture,
         });
         if p.is_load {
-            self.mshr.insert(p.line, vec![p.warp_slot]);
+            self.mshr.insert(p.line, p.warp_slot);
         }
         self.advance_lsu_head();
     }

@@ -37,7 +37,12 @@
 //! a barrier-free program, the walk stops once the issue ports are
 //! exhausted, and skips every position whose next instruction is `Mem`
 //! once the memory port is closed (`max_mem_issue` reached or the LSU
-//! queue full): those warps could only be classified `ExcessMem`.
+//! queue full): those warps could only be classified `ExcessMem`. Under
+//! CCWS it also skips, port open or not, every position whose next
+//! instruction is `Mem` and whose warp CCWS throttles: it too could
+//! only be `ExcessMem`. The `blocked` bitset that names those warps is
+//! a copy of the CCWS mask, rebuilt with the order and whenever the mask
+//! refreshes.
 //!
 //! The whole stage is part of the *local* phase of the two-phase cycle:
 //! it reads and writes only this SM's warps, scoreboard and LSU queue,
@@ -47,6 +52,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::ccws::CcwsState;
 use crate::config::Femtos;
 use crate::counters::{CycleSnapshot, WarpState};
 use crate::program::{Instr, Program};
@@ -66,6 +72,9 @@ pub(super) struct Candidates {
     /// One bit per position whose warp's next instruction is `Mem`
     /// (exact, since skipping a non-`Mem` warp could lose an issue).
     mem_next: Vec<u64>,
+    /// One bit per position whose warp CCWS forbids to issue memory
+    /// instructions (exact: a copy of the mask, refreshed with it).
+    blocked: Vec<u64>,
     /// Scheduler position of each warp slot, `NO_POS` if it has none.
     pos: Vec<usize>,
     /// Number of positions (`sched_order.len()`).
@@ -77,8 +86,14 @@ pub(super) struct Candidates {
 
 impl Candidates {
     /// Marks every position of `order` and records each warp's next
-    /// instruction kind.
-    fn rebuild(&mut self, order: &[usize], warps: &[Option<Warp>], program: Option<&Program>) {
+    /// instruction kind and CCWS memory-issue right.
+    fn rebuild(
+        &mut self,
+        order: &[usize],
+        warps: &[Option<Warp>],
+        program: Option<&Program>,
+        ccws: Option<&CcwsState>,
+    ) {
         let words = order.len().div_ceil(64);
         self.live.clear();
         self.live.resize(words, 0);
@@ -95,6 +110,21 @@ impl Candidates {
                 .zip(warps[ws].as_ref())
                 .is_some_and(|(program, warp)| next_is_mem(warp, program));
             self.set_mem(p, mem);
+        }
+        self.set_blocked(order, ccws);
+    }
+
+    /// Copies CCWS's memory-issue mask onto the positions of `order`.
+    /// Called whenever the mask is refreshed or the order rebuilt.
+    pub(super) fn set_blocked(&mut self, order: &[usize], ccws: Option<&CcwsState>) {
+        self.blocked.clear();
+        self.blocked.resize(order.len().div_ceil(64), 0);
+        if let Some(ccws) = ccws {
+            for (p, &ws) in order.iter().enumerate() {
+                if !ccws.may_issue_mem(ws) {
+                    self.blocked[p / 64] |= 1 << (p % 64);
+                }
+            }
         }
     }
 
@@ -131,6 +161,11 @@ impl Candidates {
         self.live[p / 64] & (1 << (p % 64)) != 0
     }
 
+    #[cfg(feature = "validate")]
+    fn is_blocked(&self, p: usize) -> bool {
+        self.blocked[p / 64] & (1 << (p % 64)) != 0
+    }
+
     /// Marks every warp whose ALU dependency has resolved by `now`.
     fn wake_due(&mut self, now: Femtos) {
         while let Some(&Reverse((ready_at, ws))) = self.wake.peek() {
@@ -143,15 +178,18 @@ impl Candidates {
     }
 
     /// The first candidate position at or after `from`, read from the
-    /// live bitset; with `skip_mem`, positions whose next instruction is
-    /// `Mem` are passed over.
-    fn next(&self, from: usize, skip_mem: bool) -> Option<usize> {
+    /// live bitset. With `skip_mem`, positions whose next instruction is
+    /// `Mem` are passed over; with `skip_blocked`, only those whose warp
+    /// CCWS forbids to issue one.
+    fn next(&self, from: usize, skip_mem: bool, skip_blocked: bool) -> Option<usize> {
         let mut wi = from / 64;
         let mut mask = !0u64 << (from % 64);
         while let Some(&word) = self.live.get(wi) {
             let mut bits = word & mask;
             if skip_mem {
                 bits &= !self.mem_next[wi];
+            } else if skip_blocked {
+                bits &= !(self.mem_next[wi] & self.blocked[wi]);
             }
             if bits != 0 {
                 return Some(wi * 64 + bits.trailing_zeros() as usize);
@@ -182,8 +220,12 @@ impl Sm {
         for b in blocks {
             self.sched_order.extend_from_slice(&b.warp_slots);
         }
-        self.cand
-            .rebuild(&self.sched_order, &self.warps, self.program.as_deref());
+        self.cand.rebuild(
+            &self.sched_order,
+            &self.warps,
+            self.program.as_deref(),
+            self.ccws.as_ref(),
+        );
         self.order_dirty = false;
     }
 
@@ -213,6 +255,11 @@ impl Sm {
                 "SM {}: actionable warp slot {ws} missing from the candidate set",
                 self.id
             );
+            crate::validate_assert!(
+                self.cand.is_blocked(p) != self.ccws.as_ref().is_none_or(|c| c.may_issue_mem(ws)),
+                "SM {}: blocked bit of warp slot {ws} disagrees with the CCWS mask",
+                self.id
+            );
         }
         let mut snap = CycleSnapshot::default();
         let mut issued_total = 0usize;
@@ -233,8 +280,9 @@ impl Sm {
         // Fast-issue cuts (module docs): once the issue ports are
         // exhausted the rest of the walk could only classify warps, and
         // once the memory port is closed a `Mem` warp could only be
-        // `ExcessMem` — and on cycles that are never sampled, the
-        // statistics read only `issued`/`active`, both already settled.
+        // `ExcessMem`, as could a `Mem` warp CCWS throttles at any time —
+        // and on cycles that are never sampled, the statistics read only
+        // `issued`/`active`, both already settled.
         // The cuts stay off while any warp is counting down its launch
         // stagger (the walk decrements it unconditionally) and for
         // programs with barriers (`Sync` executes without consuming an
@@ -248,7 +296,7 @@ impl Sm {
             }
             let mem_closed =
                 fast_cut && (issued_mem >= self.max_mem_issue || self.lsu.len() >= self.lsu_cap);
-            let Some(oi) = self.cand.next(from, mem_closed) else {
+            let Some(oi) = self.cand.next(from, mem_closed, fast_cut) else {
                 break;
             };
             from = oi + 1;
@@ -378,25 +426,45 @@ mod tests {
     fn candidates_scan_across_words() {
         let order: Vec<usize> = (0..130).collect();
         let mut c = Candidates::default();
-        c.rebuild(&order, &vec![None; 130], None);
-        assert_eq!(c.next(0, false), Some(0));
-        assert_eq!(c.next(129, false), Some(129));
-        assert_eq!(c.next(130, false), None, "no bits past the order");
+        c.rebuild(&order, &vec![None; 130], None, None);
+        assert_eq!(c.next(0, false, false), Some(0));
+        assert_eq!(c.next(129, false, false), Some(129));
+        assert_eq!(c.next(130, false, false), None, "no bits past the order");
 
         for p in (0..130).filter(|&p| p != 70 && p != 128) {
             c.clear(p);
         }
-        assert_eq!(c.next(0, false), Some(70));
-        assert_eq!(c.next(71, false), Some(128));
+        assert_eq!(c.next(0, false, false), Some(70));
+        assert_eq!(c.next(71, false, false), Some(128));
         c.set_mem(70, true);
-        assert_eq!(c.next(0, true), Some(128), "memory-bound position skipped");
-        assert_eq!(c.next(0, false), Some(70), "but still a candidate");
+        assert_eq!(
+            c.next(0, true, false),
+            Some(128),
+            "memory-bound position skipped"
+        );
+        assert_eq!(c.next(0, false, false), Some(70), "but still a candidate");
+        c.blocked[70 / 64] |= 1 << (70 % 64);
+        assert_eq!(
+            c.next(0, false, true),
+            Some(128),
+            "throttled memory-bound position skipped"
+        );
+        c.set_mem(70, false);
+        assert_eq!(
+            c.next(0, false, true),
+            Some(70),
+            "a throttled warp still issues ALU work"
+        );
 
         c.wake.push(Reverse((50, 5)));
         c.wake_due(49);
-        assert_eq!(c.next(0, false), Some(70), "dependency not yet resolved");
+        assert_eq!(
+            c.next(0, false, false),
+            Some(70),
+            "dependency not yet resolved"
+        );
         c.wake_due(50);
-        assert_eq!(c.next(0, false), Some(5));
+        assert_eq!(c.next(0, false, false), Some(5));
         assert!(c.wake.is_empty());
 
         c.mark_all();
@@ -407,13 +475,13 @@ mod tests {
     fn slots_without_a_position_are_ignored() {
         let mut c = Candidates::default();
         c.mark_slot(3); // before the first rebuild
-        c.rebuild(&[4, 2], &vec![None; 8], None);
+        c.rebuild(&[4, 2], &vec![None; 8], None, None);
         for p in 0..2 {
             c.clear(p);
         }
         c.mark_slot(3); // a slot of a paused block
-        assert_eq!(c.next(0, false), None);
+        assert_eq!(c.next(0, false, false), None);
         c.mark_slot(2);
-        assert_eq!(c.next(0, false), Some(1));
+        assert_eq!(c.next(0, false, false), Some(1));
     }
 }

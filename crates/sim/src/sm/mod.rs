@@ -15,14 +15,16 @@
 //! - `issue` — the scheduler walk and warp-state classification;
 //! - `exec` — response delivery and the ALU/LSU execution pipelines;
 //! - `blocks` — thread-block residency: launch, pause/unpause, fill and
-//!   retirement.
+//!   retirement;
+//! - `mshr` — the flat L1 MSHR file.
 
 mod blocks;
 mod exec;
 mod issue;
+mod mshr;
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use crate::cache::Cache;
@@ -74,8 +76,9 @@ struct LsuEntry {
 /// A classified LSU head access that needs the shared memory system:
 /// staged by [`Sm::cycle_local`] and resolved by [`Sm::commit`], where
 /// `MemSystem::can_accept` arbitration happens in the engine's rotated
-/// service order regardless of how the local phase was scheduled.
-#[derive(Debug, Clone, Copy)]
+/// service order regardless of how the local phase was scheduled. A
+/// refused access stays staged until a later commit injects it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingAccess {
     line: u64,
     addr: u64,
@@ -95,7 +98,6 @@ pub struct Sm {
     alu_latency: u32,
     l1_hit_latency: u32,
     lsu_cap: usize,
-    mshr_cap: usize,
     sample_interval: u64,
     warp_launch_stagger: u32,
     max_block_slots_hw: usize,
@@ -117,10 +119,7 @@ pub struct Sm {
 
     lsu: VecDeque<LsuEntry>,
     l1: Cache,
-    // Address-ordered on purpose: a hash map's iteration order is seeded
-    // per-process, which would make merge/replay order — and therefore
-    // cycle counts — vary run to run.
-    mshr: BTreeMap<u64, Vec<usize>>,
+    mshr: mshr::MshrFile,
     local_ready: BinaryHeap<Reverse<(Femtos, usize)>>,
     addr_gen: AddressGen,
 
@@ -134,7 +133,8 @@ pub struct Sm {
     /// (the SM's inbox; filled serially by the engine, consumed by the
     /// local phase).
     inbox: Vec<u64>,
-    /// The LSU head access awaiting shared-queue arbitration in `commit`.
+    /// The LSU head access awaiting shared-queue arbitration in `commit`;
+    /// held across cycles while the target queue refuses it.
     pending: Option<PendingAccess>,
     /// Block slots completed during the local phase, retired in `commit`.
     completed_scratch: Vec<usize>,
@@ -167,7 +167,6 @@ impl Sm {
             alu_latency: config.alu_latency,
             l1_hit_latency: config.l1_hit_latency,
             lsu_cap: config.lsu_queue_cap,
-            mshr_cap: config.l1_mshr,
             sample_interval: config.sample_interval,
             warp_launch_stagger: config.warp_launch_stagger,
             max_block_slots_hw: config.max_blocks_per_sm,
@@ -183,7 +182,7 @@ impl Sm {
             cand: issue::Candidates::default(),
             lsu: VecDeque::with_capacity(config.lsu_queue_cap),
             l1: Cache::new(config.l1),
-            mshr: BTreeMap::new(),
+            mshr: mshr::MshrFile::new(config.l1_mshr),
             local_ready: BinaryHeap::new(),
             addr_gen: AddressGen::new(config.l1.line_bytes, id as u64),
             target_blocks: 1,
@@ -354,10 +353,12 @@ impl Sm {
         //    for the commit phase.
         self.lsu_local(now, li, period_fs);
 
-        // 3. Refresh the CCWS issue mask periodically.
+        // 3. Refresh the CCWS issue mask periodically, and the issue
+        //    walk's copy of it.
         if let Some(ccws) = &mut self.ccws {
             if self.cycles.is_multiple_of(32) {
                 ccws.refresh(32);
+                self.cand.set_blocked(&self.sched_order, Some(ccws));
             }
         }
 
@@ -531,9 +532,9 @@ impl Sm {
     /// MSHRs, L1, CCWS, counters). Configuration copies are not written —
     /// decode runs on an SM freshly built from the same `GpuConfig`.
     ///
-    /// Canonical forms: the MSHR `BTreeMap` iterates in key order and the
-    /// local-hit heap is written as a sorted list, so two bit-identical
-    /// machines encode to bit-identical bytes. The scheduler order cache
+    /// Canonical forms: the MSHR file and the local-hit heap are written
+    /// as sorted lists, so two bit-identical machines encode to
+    /// bit-identical bytes. The scheduler order cache
     /// (`sched_order`) and the issue candidate set are skipped entirely —
     /// both are derived from the resident blocks and warps and are rebuilt
     /// on first use after decode.
@@ -590,14 +591,7 @@ impl Sm {
             w.u32(*next_access);
         }
         self.l1.encode(w);
-        w.usize(self.mshr.len());
-        for (line, waiters) in &self.mshr {
-            w.u64(*line);
-            w.usize(waiters.len());
-            for &s in waiters {
-                w.usize(s);
-            }
-        }
+        self.mshr.encode(w);
         let mut local: Vec<(Femtos, usize)> =
             self.local_ready.iter().map(|Reverse(pair)| *pair).collect();
         local.sort_unstable();
@@ -749,26 +743,7 @@ impl Sm {
             });
         }
         self.l1 = Cache::decode(*self.l1.config(), r)?;
-        let at = r.offset();
-        let n = r.seq_len(16)?;
-        if n > self.mshr_cap {
-            return Err(corrupt(at, "MSHR count overflows its capacity"));
-        }
-        self.mshr.clear();
-        for _ in 0..n {
-            let line = r.u64()?;
-            let m = r.seq_len(8)?;
-            let mut waiters = Vec::with_capacity(m);
-            for _ in 0..m {
-                let at = r.offset();
-                let s = r.usize()?;
-                if s >= max_warps {
-                    return Err(corrupt(at, "MSHR waiter references out-of-range warp slot"));
-                }
-                waiters.push(s);
-            }
-            self.mshr.insert(line, waiters);
-        }
+        self.mshr.decode(r, max_warps)?;
         self.local_ready.clear();
         let n = r.seq_len(16)?;
         for _ in 0..n {
@@ -1223,6 +1198,87 @@ mod tests {
             "oversized working sets must thrash (rate {})",
             sm.l1().hit_rate()
         );
+    }
+
+    /// Steps `sm` from `now` until it is drained, returning the final
+    /// time and the number of cycles taken.
+    fn finish_from(
+        sm: &mut Sm,
+        mem: &mut MemSystem,
+        gwde: &mut Gwde,
+        mut now: Femtos,
+        period: Femtos,
+    ) -> (Femtos, u64) {
+        let mut cycles = 0u64;
+        while sm.busy() || !sm.quiescent() || !gwde.drained() {
+            now += period;
+            mem.step(now, VfLevel::Nominal, period);
+            sm.cycle(now, VfLevel::Nominal, period, mem, gwde);
+            sm.fill(gwde);
+            cycles += 1;
+            assert!(cycles < 2_000_000, "SM wedged");
+        }
+        (now, cycles)
+    }
+
+    #[test]
+    fn held_access_survives_encode_decode() {
+        // A one-entry interconnect over a starved two-entry DRAM queue:
+        // the LD/ST head's primary misses are refused for many cycles in
+        // a row.
+        let mut c = cfg();
+        c.icnt_cap = 1;
+        c.dram_queue_cap = 2;
+        c.dram_bytes_per_cycle = 16;
+        let k = KernelSpec::new(
+            "held",
+            KernelCategory::Memory,
+            4,
+            8,
+            vec![crate::kernel::Invocation {
+                grid_blocks: 8,
+                program: Arc::new(Program::new(vec![Segment::new(
+                    vec![Instr::load_streaming(), Instr::alu_dep()],
+                    20,
+                )])),
+            }],
+        );
+        let program = k.invocations()[0].program.clone();
+        let period = 1_000_000;
+        let mut sm = Sm::new(0, &c);
+        let mut mem = MemSystem::new(&c);
+        sm.begin_invocation(&k, 0, program.clone());
+        let mut gwde = Gwde::new(8);
+        sm.fill(&mut gwde);
+        let mut now = 0;
+        // Stop on a cycle whose commit was refused, with misses in flight.
+        while sm.pending.is_none() || sm.mshr.len() < 2 {
+            now += period;
+            mem.step(now, VfLevel::Nominal, period);
+            sm.cycle(now, VfLevel::Nominal, period, &mut mem, &mut gwde);
+            sm.fill(&mut gwde);
+            assert!(sm.busy(), "kernel ended without back-pressure");
+        }
+
+        let mut w = crate::snapshot::Writer::new();
+        sm.encode_state(&mut w);
+        mem.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = crate::snapshot::Reader::new(&bytes);
+        let mut copy = Sm::new(0, &c);
+        copy.decode_state(&mut r, Some(program)).unwrap();
+        let mut copy_mem = MemSystem::decode(&c, &mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(copy.pending, sm.pending, "the held access is restored");
+        let mut copy_gwde = gwde.clone();
+
+        let a = finish_from(&mut sm, &mut mem, &mut gwde, now, period);
+        let b = finish_from(&mut copy, &mut copy_mem, &mut copy_gwde, now, period);
+        assert_eq!(a, b);
+        assert_eq!(sm.events(), copy.events());
+        assert_eq!(sm.run_counters(), copy.run_counters());
+        assert_eq!(sm.blocks_completed(), 8);
+        assert_eq!(copy.blocks_completed(), 8);
     }
 
     #[test]

@@ -155,6 +155,63 @@ fn every_truncation_fails_with_typed_error() {
     }
 }
 
+/// A snapshot that lists one MSHR line twice is rejected: the restored
+/// file would keep a phantom entry that no response ever frees. The
+/// test finds each SM's MSHR section by its shape (a count equal to the
+/// SM's occupancy, then `(line, waiters)` pairs in ascending line order)
+/// and overwrites the second line with the first.
+#[test]
+fn duplicate_mshr_line_is_rejected() {
+    let config = small_config();
+    let kernel = mixed_kernel(32, 300);
+    let opts = SimOptions::default();
+    let mut engine = Engine::new(&config, &kernel, opts).unwrap();
+    run_to_epoch(&mut engine, 1);
+    let occupancy: Vec<u64> = (0..config.num_sms)
+        .map(|i| engine.with_sm(i, |sm| sm.mshr_occupancy() as u64))
+        .collect();
+    assert!(
+        occupancy.iter().any(|&n| n >= 2),
+        "no SM holds two outstanding misses: {occupancy:?}"
+    );
+    let bytes = engine.snapshot();
+    let word = |at: usize| {
+        bytes
+            .get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+    };
+    let max_warps = config.max_warps_per_sm as u64;
+    // Line addresses of the streaming loads sit far above any count.
+    let is_line = |x: u64| x >= 1 << 32;
+    let mut rejected = 0;
+    for at in 0..bytes.len() {
+        let Some(n) = word(at) else { break };
+        if n < 2 || !occupancy.contains(&n) {
+            continue;
+        }
+        let (Some(first), Some(waiters)) = (word(at + 8), word(at + 16)) else {
+            continue;
+        };
+        if !is_line(first) || waiters > max_warps {
+            continue;
+        }
+        let second_at = at + 24 + 8 * waiters as usize;
+        if !word(second_at).is_some_and(|second| is_line(second) && second > first) {
+            continue;
+        }
+        let mut bad = bytes.clone();
+        bad[second_at..second_at + 8].copy_from_slice(&first.to_le_bytes());
+        if let Err(SnapshotError::Corrupt {
+            what: "MSHR lists a line twice",
+            ..
+        }) = Engine::restore(&config, &kernel, opts, &bad)
+        {
+            rejected += 1;
+        }
+    }
+    assert!(rejected > 0, "no MSHR section found to corrupt");
+}
+
 #[test]
 fn corrupted_bytes_never_panic() {
     let config = small_config();

@@ -8,8 +8,9 @@
 //! SplitMix64 kernels with barriers, dependent ALU ops and launch stagger,
 //! a texture-path kernel, every governor family (baseline, Equalizer in
 //! both modes, DynCTA, CCWS, per-SM VRMs), per-tick stepping
-//! (`max_batch_ticks = 1`) against the default options, and a
-//! snapshot/restore at a mid-run epoch.
+//! (`max_batch_ticks = 1`) against the default options, a
+//! snapshot/restore at a mid-run epoch, and a machine whose nearly
+//! empty shared queues and MSHR file keep the LD/ST unit back-pressured.
 //!
 //! A deliberate change to simulated behaviour must re-record the table:
 //! the failure message prints the digests of the current build.
@@ -279,6 +280,40 @@ fn cases() -> Vec<(GpuConfig, KernelSpec)> {
     config.dram_bytes_per_cycle = 16;
     out.push((config, memory_kernel()));
     out
+}
+
+/// Digests of [`back_pressure_cases`], recorded like [`EXPECTED`]:
+/// kernels outer, [`GOVERNORS`] inner.
+const BACK_PRESSURE_EXPECTED: [u64; 12] = [
+    0xcb267c30a9fe055a,
+    0xed6ff93491166c87,
+    0xb26f5382466491fb,
+    0xcb267c30a9fe055a,
+    0x4c06bf36a50208bc,
+    0x383e2629f0f52924,
+    0x6a8c4608ba9ce79b,
+    0x97667b1355e5c462,
+    0x5e77172c5fc4e744,
+    0x39dd1ba9d218b7d4,
+    0x6a8c4608ba9ce79b,
+    0x97667b1355e5c462,
+];
+
+/// The memory and texture kernels on a 2-SM machine whose shared queues
+/// and MSHR file are nearly gone: a 2-entry interconnect and texture
+/// queue, and two MSHRs per SM. The LD/ST head then waits on a refused
+/// injection for many cycles in a row, texture loads stall on a full
+/// MSHR file, and memory-ready warps pile up as `ExcessMem`.
+fn back_pressure_cases() -> Vec<(GpuConfig, KernelSpec)> {
+    let mut config = GpuConfig::gtx480();
+    config.num_sms = 2;
+    config.icnt_cap = 2;
+    config.tex_queue_cap = 2;
+    config.l1_mshr = 2;
+    vec![
+        (config.clone(), memory_kernel()),
+        (config, texture_kernel()),
+    ]
 }
 
 /// The default options, or the per-tick reference that never opens a
@@ -597,4 +632,27 @@ fn ccws_run_ends_on_the_per_tick_cycle() {
         "the kernel must drain stores after its last block, as the baseline's overshoot shows"
     );
     assert_eq!(end(Gov::Ccws, false), end(Gov::Ccws, true));
+}
+
+/// Back-pressure on every shared queue and a nearly empty MSHR file
+/// leave the results pinned, under every governor family.
+#[test]
+fn back_pressure_matches_pinned_digests() {
+    let mut got = Vec::new();
+    for (config, kernel) in &back_pressure_cases() {
+        for gov in GOVERNORS {
+            let stats = run(config, kernel, gov, false);
+            assert!(
+                stats.warp_states.excess_mem > 0,
+                "{gov:?} on {}: no memory back-pressure",
+                kernel.name()
+            );
+            got.push(digest(&stats));
+        }
+    }
+    assert!(
+        got == BACK_PRESSURE_EXPECTED,
+        "back-pressure digests changed; current build:\n{}",
+        table(&got)
+    );
 }

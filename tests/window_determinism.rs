@@ -10,6 +10,7 @@ use std::sync::Arc;
 use equalizer_sim::engine::{Engine, StepEvent};
 
 use equalizer_core::{Equalizer, Mode};
+use equalizer_sim::ccws::CcwsState;
 use equalizer_sim::governor::{
     EpochContext, EpochDecision, Governor, SmEpochReport, StaticGovernor, VfRequest,
 };
@@ -85,6 +86,43 @@ fn mshr_pressure_matches_per_tick() {
         },
     );
     assert_matches_per_tick("thrash", &config, &kernel, || StaticGovernor);
+}
+
+/// The issue walk's CCWS cut is invisible: on fast-issue cycles it
+/// passes over memory-bound warps that CCWS throttles, which could only
+/// be classified `ExcessMem`. `mmer` thrashes the L1, so CCWS does
+/// throttle; fast-forward off disarms every fast-issue cut and is the
+/// reference.
+#[test]
+fn ccws_issue_cut_matches_full_walk() {
+    let mut config = GpuConfig::gtx480();
+    config.num_sms = 4;
+    let (config, _) = equalizer_baselines::ccws_baseline(config);
+    let kernel = kernel_by_name("mmer").unwrap();
+    let full_walk = SimOptions {
+        fast_forward: false,
+        ..SimOptions::default()
+    };
+    let reference = simulate_with(&config, &kernel, &mut StaticGovernor, full_walk).unwrap();
+
+    let mut engine = Engine::new(&config, &kernel, SimOptions::default()).unwrap();
+    let mut throttled = false;
+    loop {
+        let event = engine.run_epoch(&mut StaticGovernor).unwrap();
+        throttled |= (0..config.num_sms).any(|i| {
+            engine
+                .with_sm(i, |sm| sm.ccws().map(CcwsState::allowed_count))
+                .is_some_and(|allowed| allowed < config.max_warps_per_sm)
+        });
+        if event == StepEvent::Complete {
+            break;
+        }
+    }
+    assert!(
+        throttled,
+        "CCWS never throttled a warp slot at an epoch boundary"
+    );
+    assert_eq!(engine.stats(), reference, "the CCWS cut changed the run");
 }
 
 #[test]

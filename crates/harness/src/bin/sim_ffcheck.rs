@@ -3,13 +3,16 @@
 //! Two assertions, in order of importance:
 //!
 //! 1. **Bit-identity.** `SimOptions::fast_forward` is a wall-clock knob
-//!    and must never change simulated results. The gate runs the
-//!    memory-active tier-1 workload (`mri-q`, full 15-SM GTX 480) under
-//!    every governor family — static, Equalizer in both modes, DynCTA
-//!    and the CCWS baseline (which disables fused windows) — and
-//!    requires `RunStats` equality between the on and off runs of each
-//!    pair. (`RunStats` equality deliberately excludes the
-//!    `batched_ticks` diagnostic.)
+//!    and must never change simulated results. The gate runs every
+//!    governor family on the full 15-SM GTX 480 — static, Equalizer in
+//!    both modes and DynCTA on the memory-active tier-1 workload
+//!    (`mri-q`), and the CCWS baseline (which disables fused windows) on
+//!    `mmer`, where CCWS actually throttles — and requires `RunStats`
+//!    equality between the on and off runs of each pair. (`RunStats`
+//!    equality deliberately excludes the `batched_ticks` diagnostic.)
+//!    The CCWS row fails unless some epoch boundary finds an SM whose
+//!    CCWS allows fewer warps than it has warp slots, so it cannot pass
+//!    without exercising the throttled issue path.
 //! 2. **Speedup.** `mri-q` on the 15-SM machine must be at least 1.5x
 //!    faster (median over interleaved on/off pairs, so host load drift
 //!    cancels) with fast-forward on. Nearly all of that comes from the
@@ -25,8 +28,9 @@ use std::time::Instant;
 
 use equalizer_baselines::{ccws_baseline, DynCta};
 use equalizer_core::{Equalizer, Mode};
+use equalizer_sim::ccws::CcwsState;
 use equalizer_sim::config::GpuConfig;
-use equalizer_sim::engine::Engine;
+use equalizer_sim::engine::{Engine, StepEvent};
 use equalizer_sim::governor::{Governor, StaticGovernor};
 use equalizer_sim::gpu::SimOptions;
 use equalizer_sim::kernel::KernelSpec;
@@ -48,11 +52,16 @@ fn main() -> ExitCode {
     }
 }
 
-/// One completed run: its results and its window diagnostics.
+/// One completed run: its results, its window diagnostics and how often
+/// CCWS throttled.
 struct Run {
     stats: RunStats,
     batched_ticks: u64,
     total_ticks: u64,
+    /// Epoch boundaries at which some SM's CCWS allowed fewer warps than
+    /// the SM has warp slots.
+    throttled_boundaries: usize,
+    boundaries: usize,
     wall: f64,
 }
 
@@ -65,10 +74,28 @@ fn simulate(
     let start = Instant::now();
     let mut engine =
         Engine::new(config, kernel, options).map_err(|e| format!("engine setup: {e}"))?;
-    let stats = engine.run(governor).map_err(|e| format!("run: {e}"))?;
+    let (mut boundaries, mut throttled_boundaries) = (0, 0);
+    loop {
+        let event = engine
+            .run_epoch(governor)
+            .map_err(|e| format!("run: {e}"))?;
+        boundaries += 1;
+        let throttled = (0..config.num_sms).any(|i| {
+            engine
+                .with_sm(i, |sm| sm.ccws().map(CcwsState::allowed_count))
+                .is_some_and(|allowed| allowed < config.max_warps_per_sm)
+        });
+        throttled_boundaries += usize::from(throttled);
+        if event == StepEvent::Complete {
+            break;
+        }
+    }
+    let stats = engine.stats();
     Ok(Run {
         batched_ticks: engine.batched_ticks(),
         total_ticks: stats.sm_cycles_at.iter().sum(),
+        throttled_boundaries,
+        boundaries,
         wall: start.elapsed().as_secs_f64(),
         stats,
     })
@@ -77,30 +104,33 @@ fn simulate(
 fn run() -> Result<(), String> {
     let config = GpuConfig::gtx480();
     let mri_q = kernel_by_name("mri-q").ok_or("mri-q missing from the workload catalog")?;
+    let mmer = kernel_by_name("mmer").ok_or("mmer missing from the workload catalog")?;
 
     // --- 1. bit-identity across governors and the knob.
-    type Setup = (
+    type Setup<'k> = (
         &'static str,
+        &'k KernelSpec,
         fn(&GpuConfig) -> (GpuConfig, Box<dyn Governor>),
     );
     let systems: &[Setup] = &[
-        ("static", |c| (c.clone(), Box::new(StaticGovernor))),
-        ("equalizer-perf", |c| {
+        ("static", &mri_q, |c| (c.clone(), Box::new(StaticGovernor))),
+        ("equalizer-perf", &mri_q, |c| {
             (
                 c.clone(),
                 Box::new(Equalizer::new(Mode::Performance, c.num_sms)),
             )
         }),
-        ("equalizer-energy", |c| {
+        ("equalizer-energy", &mri_q, |c| {
             (c.clone(), Box::new(Equalizer::new(Mode::Energy, c.num_sms)))
         }),
-        ("dyncta", |c| (c.clone(), Box::new(DynCta::new()))),
-        ("ccws", |c| {
+        ("dyncta", &mri_q, |c| (c.clone(), Box::new(DynCta::new()))),
+        ("ccws", &mmer, |c| {
             let (c, g) = ccws_baseline(c.clone());
             (c, Box::new(g))
         }),
     ];
-    for (name, setup) in systems {
+    for (name, kernel, setup) in systems {
+        let kname = kernel.name();
         let mut pair = Vec::new();
         for fast_forward in [true, false] {
             let (config, mut governor) = setup(&config);
@@ -108,16 +138,33 @@ fn run() -> Result<(), String> {
                 fast_forward,
                 ..SimOptions::default()
             };
-            pair.push(simulate(&config, &mri_q, governor.as_mut(), options)?);
+            pair.push(simulate(&config, kernel, governor.as_mut(), options)?);
         }
         if pair[0].stats != pair[1].stats {
             return Err(format!(
-                "mri-q under `{name}`: RunStats diverge between fast-forward on and off"
+                "{kname} under `{name}`: RunStats diverge between fast-forward on and off"
             ));
         }
+        let on = &pair[0];
+        if *name == "ccws" && on.throttled_boundaries == 0 {
+            return Err(format!(
+                "{kname} under `ccws`: no SM was throttled at any of {} epoch \
+                 boundaries, so the pair never exercised the CCWS issue path",
+                on.boundaries
+            ));
+        }
+        let throttling = if *name == "ccws" {
+            format!(
+                "; throttled at {} of {} epoch boundaries",
+                on.throttled_boundaries, on.boundaries
+            )
+        } else {
+            String::new()
+        };
         println!(
-            "identity {name:<17} ok ({} of {} SM ticks in fused windows with fast-forward on)",
-            pair[0].batched_ticks, pair[0].total_ticks
+            "identity {name:<17} ok on {kname} ({} of {} SM ticks in fused windows with \
+             fast-forward on{throttling})",
+            on.batched_ticks, on.total_ticks
         );
     }
 

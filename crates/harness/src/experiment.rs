@@ -13,8 +13,7 @@ use equalizer_sim::gpu::{SimError, SimOptions};
 use equalizer_sim::kernel::KernelSpec;
 use equalizer_sim::stats::RunStats;
 
-use crate::serve::hash::result_key;
-use crate::store::{ResultStore, StoreStats};
+use crate::store::{result_key, ResultStore, StoreStats};
 
 /// Which system drives the hardware for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,7 +171,7 @@ impl Runner {
     /// too, so a repeat returns the same error.
     pub fn run(&self, kernel: &KernelSpec, system: System) -> Result<Measurement, SimError> {
         let (config, mut governor) = system_setup(&self.config, system);
-        let key = result_key(&config, kernel, &self.options, system, 0);
+        let key = result_key(&config, kernel, &self.options, system);
         let (stats, _) = self.store.get_or_run(key, || {
             let stats = Engine::new(&config, kernel, self.options)?.run(governor.as_mut())?;
             Ok(Arc::new(stats))
@@ -222,13 +221,9 @@ impl Runner {
 }
 
 /// Resolves a [`System`] into the configuration and governor that realise
-/// it on the `base` hardware.
-///
-/// `pub(crate)` so the serving layer ([`crate::serve`]) resolves requests
-/// through exactly the same mapping as [`Runner::run`] — the resolved
-/// configuration is what the content-addressed result keys are computed
-/// over.
-pub(crate) fn system_setup(base: &GpuConfig, system: System) -> (GpuConfig, Box<dyn Governor>) {
+/// it on the `base` hardware. The resolved configuration is what
+/// [`result_key`] folds.
+fn system_setup(base: &GpuConfig, system: System) -> (GpuConfig, Box<dyn Governor>) {
     match system {
         System::Static(point) => (point.apply(base.clone()), Box::new(StaticGovernor)),
         System::Equalizer(mode) => (base.clone(), Box::new(Equalizer::new(mode, base.num_sms))),

@@ -25,7 +25,6 @@
 pub mod experiment;
 pub mod figures;
 pub mod profile;
-pub mod serve;
 pub mod store;
 pub mod tables;
 pub mod trace;

@@ -2,11 +2,11 @@
 //! single-flight deduplication.
 //!
 //! The simulator is deterministic end to end, so a run's `RunStats` is a
-//! pure function of its canonical [`result_key`](crate::serve::hash::result_key).
-//! A [`ResultStore`] exploits that in-process:
+//! pure function of its canonical [`result_key`]. A [`ResultStore`]
+//! exploits that in-process:
 //!
 //! * **Memoization** — completed results live in a bounded, deterministic
-//!   LRU ([`LruCache`]) and repeats are answered without simulating.
+//!   LRU and repeats are answered without simulating.
 //! * **Single flight** — concurrent calls for one key collapse onto one
 //!   run: the first caller claims the key and runs it with no lock held;
 //!   the others block on a condvar and share its result.
@@ -14,19 +14,161 @@
 //!   are remembered in a small bounded map, so later calls and waiters on
 //!   a doomed flight get the same error instead of re-running into it.
 //!
-//! Two callers share this one implementation: every
-//! [`Runner`](crate::Runner) memoizes its runs in its own store (shared by
-//! its clones), and the `sim-serve` daemon answers requests from a store
-//! of encoded `RunStats` bytes bounded by `ServeOptions::result_cache`.
+//! Every [`Runner`](crate::Runner) memoizes its runs in its own store,
+//! shared by its clones.
 //!
 //! This module is in the strict lint universe (`cargo xtask lint`): no
-//! hash maps, no clocks, no panics — eviction order is a pure function of
-//! the call history.
+//! hash maps, no clocks, no panics — keys never depend on time or the
+//! process, and eviction order is a pure function of the call history.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::serve::cache::LruCache;
+use equalizer_baselines::StaticPoint;
+use equalizer_core::Mode;
+use equalizer_sim::config::GpuConfig;
+use equalizer_sim::gpu::SimOptions;
+use equalizer_sim::kernel::KernelSpec;
+use equalizer_sim::snapshot::{fold_gpu_config, Fold};
+
+use crate::System;
+
+/// Domain-separation tag for [`result_key`] ("EQ-RESKEY" folded).
+const RESULT_TAG: u64 = 0x4551_5245_534B_4559;
+
+/// Canonical key of a complete run: equal keys imply bit-identical
+/// `RunStats`.
+///
+/// * The *resolved* configuration is folded — the one the [`Runner`](crate::Runner)
+///   hands the engine — because several systems (static VF points,
+///   per-SM VRM, CCWS) modify it.
+/// * Every [`SimOptions`] field the engine reads participates, including
+///   the wall-clock-only knobs (`max_batch_ticks`, `fast_forward`):
+///   `RunStats` records `batched_ticks`, so bit-identical memoized
+///   results require keying on them. The ignored `threads` field is
+///   left out, so runs differing only there share one result.
+///   Exhaustive destructuring makes adding a field a compile error
+///   until it is folded or explicitly ignored.
+/// * The kernel folds its whole identity and the system its variant and
+///   parameter.
+pub fn result_key(
+    config: &GpuConfig,
+    kernel: &KernelSpec,
+    options: &SimOptions,
+    system: System,
+) -> u64 {
+    let mut fold = Fold::new(RESULT_TAG);
+    fold_gpu_config(&mut fold, config);
+    kernel.fold_identity(&mut fold);
+    let SimOptions {
+        max_cycles_per_invocation,
+        record_epochs,
+        threads: _, // ignored by the engine
+        max_batch_ticks,
+        fast_forward,
+    } = *options;
+    fold.add(max_cycles_per_invocation);
+    fold.add(u64::from(record_epochs));
+    fold.add(max_batch_ticks);
+    fold.add(u64::from(fast_forward));
+    let (tag, payload) = system_code(system);
+    fold.add(tag);
+    fold.add(payload);
+    fold.finish()
+}
+
+/// A stable `(variant, parameter)` code for each [`System`].
+fn system_code(system: System) -> (u64, u64) {
+    let mode_code = |m: Mode| match m {
+        Mode::Energy => 0,
+        Mode::Performance => 1,
+    };
+    match system {
+        System::Static(point) => (
+            0,
+            match point {
+                StaticPoint::Baseline => 0,
+                StaticPoint::SmHigh => 1,
+                StaticPoint::SmLow => 2,
+                StaticPoint::MemHigh => 3,
+                StaticPoint::MemLow => 4,
+            },
+        ),
+        System::Equalizer(mode) => (1, mode_code(mode)),
+        System::EqualizerBlocksOnly => (2, 0),
+        System::EqualizerPerSmVrm(mode) => (3, mode_code(mode)),
+        System::DynCta => (4, 0),
+        System::Ccws => (5, 0),
+        System::FixedBlocks(n) => (6, n as u64),
+    }
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    seq: u64,
+    value: V,
+}
+
+/// A bounded LRU map from canonical key to a cheaply cloned payload `V`.
+/// Recency is a monotonic sequence number with a `BTreeMap` index over
+/// it, so eviction order is a pure function of the lookup/store history:
+/// no hashing, no clocks, no per-process seeds.
+#[derive(Debug)]
+struct LruCache<V> {
+    capacity: usize,
+    next_seq: u64,
+    by_key: BTreeMap<u64, Slot<V>>,
+    /// Recency index: sequence number → key. The smallest sequence is
+    /// the least recently used entry.
+    by_age: BTreeMap<u64, u64>,
+    evictions: u64,
+}
+
+impl<V: Clone> LruCache<V> {
+    /// A cache holding at most `capacity` entries; zero disables it
+    /// (stores evict immediately).
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            next_seq: 0,
+            by_key: BTreeMap::new(),
+            by_age: BTreeMap::new(),
+            evictions: 0,
+        }
+    }
+
+    /// The payload stored under `key`, marked most recently used.
+    fn lookup(&mut self, key: u64) -> Option<V> {
+        let slot = self.by_key.get_mut(&key)?;
+        self.by_age.remove(&slot.seq);
+        slot.seq = self.next_seq;
+        self.next_seq += 1;
+        self.by_age.insert(slot.seq, key);
+        Some(slot.value.clone())
+    }
+
+    /// Stores `value` under `key` (replacing any previous payload) and
+    /// evicts least-recently-used entries until the bound holds again.
+    fn store(&mut self, key: u64, value: V) {
+        if let Some(slot) = self.by_key.remove(&key) {
+            self.by_age.remove(&slot.seq);
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.by_key.insert(key, Slot { seq, value });
+        self.by_age.insert(seq, key);
+        while self.by_key.len() > self.capacity {
+            // The age index mirrors `by_key` one-to-one, so a non-empty
+            // cache always has an oldest entry to shed.
+            let Some((&oldest, &victim)) = self.by_age.iter().next() else {
+                break;
+            };
+            self.by_age.remove(&oldest);
+            self.by_key.remove(&victim);
+            self.evictions += 1;
+        }
+    }
+}
 
 /// Failed keys remembered at most; the map is cleared once it grows past
 /// this, so a misbehaving caller cannot grow it unboundedly.
@@ -168,7 +310,7 @@ impl<V: Clone, E: Clone> ResultStore<V, E> {
     pub fn tallies(&self) -> StoreStats {
         let st = self.lock_store();
         StoreStats {
-            evictions: st.results.evictions(),
+            evictions: st.results.evictions,
             ..st.stats
         }
     }
@@ -253,5 +395,101 @@ mod tests {
         assert!(store.get_or_run(2, || Ok(2)).1);
         assert_eq!(store.get_or_run(1, || Ok(10)), (Ok(10), true));
         assert_eq!(store.tallies().evictions, 2);
+    }
+
+    #[test]
+    fn lookup_returns_what_store_put() {
+        let mut cache = LruCache::new(2);
+        assert!(cache.lookup(1).is_none());
+        cache.store(1, 11);
+        assert_eq!(cache.lookup(1), Some(11));
+        cache.store(1, 12);
+        assert_eq!(cache.lookup(1), Some(12));
+        assert_eq!(cache.by_key.len(), 1);
+        assert_eq!(cache.evictions, 0);
+    }
+
+    #[test]
+    fn eviction_is_least_recently_used_and_deterministic() {
+        let mut cache = LruCache::new(2);
+        cache.store(1, 1);
+        cache.store(2, 2);
+        // Touch 1, making 2 the LRU entry.
+        assert!(cache.lookup(1).is_some());
+        cache.store(3, 3);
+        assert!(cache.lookup(2).is_none(), "2 was evicted");
+        assert!(cache.lookup(1).is_some());
+        assert!(cache.lookup(3).is_some());
+        assert_eq!(cache.evictions, 1);
+    }
+
+    #[test]
+    fn zero_capacity_disables_the_cache() {
+        let mut cache = LruCache::new(0);
+        cache.store(1, 1);
+        assert!(cache.lookup(1).is_none());
+        assert!(cache.by_key.is_empty());
+        assert_eq!(cache.evictions, 1);
+    }
+
+    fn key_parts() -> (GpuConfig, KernelSpec, SimOptions) {
+        (
+            GpuConfig::gtx480(),
+            equalizer_workloads::kernel_by_name("mri-q").unwrap(),
+            SimOptions::default(),
+        )
+    }
+
+    #[test]
+    fn keys_are_stable_and_sensitive() {
+        let (config, kernel, options) = key_parts();
+        let key = result_key(&config, &kernel, &options, System::DynCta);
+        assert_eq!(
+            key,
+            result_key(&config, &kernel, &options, System::DynCta),
+            "same inputs, same key"
+        );
+
+        // Every ingredient perturbs the key.
+        let mut other_config = config.clone();
+        other_config.num_sms += 1;
+        assert_ne!(
+            key,
+            result_key(&other_config, &kernel, &options, System::DynCta)
+        );
+        let other_kernel = kernel.clone().with_seed(99);
+        assert_ne!(
+            key,
+            result_key(&config, &other_kernel, &options, System::DynCta)
+        );
+        let other_options = SimOptions {
+            max_batch_ticks: 0,
+            ..options
+        };
+        assert_ne!(
+            key,
+            result_key(&config, &kernel, &other_options, System::DynCta)
+        );
+        assert_ne!(
+            key,
+            result_key(&config, &kernel, &options, System::Equalizer(Mode::Energy))
+        );
+        assert_ne!(
+            result_key(&config, &kernel, &options, System::FixedBlocks(2)),
+            result_key(&config, &kernel, &options, System::FixedBlocks(3))
+        );
+    }
+
+    #[test]
+    fn keys_ignore_the_thread_count() {
+        let (config, kernel, options) = key_parts();
+        let threaded = SimOptions {
+            threads: 4,
+            ..options
+        };
+        assert_eq!(
+            result_key(&config, &kernel, &options, System::DynCta),
+            result_key(&config, &kernel, &threaded, System::DynCta)
+        );
     }
 }

@@ -21,7 +21,7 @@ use equalizer_sim::engine::VfDomain;
 
 use crate::json::escape_json;
 use crate::observer::MetricsObserver;
-use crate::registry::{MetricKind, MetricsRegistry};
+use crate::registry::MetricKind;
 
 /// The machine process id (SM tracks live here).
 const PID_MACHINE: u64 = 0;
@@ -143,86 +143,6 @@ pub fn chrome_trace(obs: &MetricsObserver) -> String {
     out
 }
 
-/// Renders a bare registry — no machine timeline attached — as a
-/// trace-event JSON document, for exposing metrics that were aggregated
-/// outside a simulation run (e.g. a live daemon's stats reply).
-///
-/// Counter and gauge series become `"ph":"C"` counter tracks exactly as
-/// in [`chrome_trace`]. Each histogram becomes its own track of
-/// `"ph":"X"` complete slices, one per bucket, positioned so the slice
-/// spans the bucket's value range along the time axis (in the metric's
-/// own unit, three decimals) with the observation count in `args` — a
-/// latency distribution reads directly off the Perfetto timeline. The
-/// overflow bucket spans one extra decade past the last bound.
-/// Registration order, deterministic bytes, valid RFC 8259 output
-/// ([`crate::json::validate`] accepts it).
-pub fn registry_trace(registry: &MetricsRegistry) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    push_event(
-        &mut out,
-        format!(
-            "\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {PID_METRICS}, \
-             \"args\": {{\"name\": \"metrics\"}}"
-        ),
-    );
-    for (tid, metric) in registry.metrics().iter().enumerate() {
-        let name = escape_json(&metric.name);
-        match &metric.kind {
-            MetricKind::Histogram {
-                bounds, buckets, ..
-            } => {
-                push_event(
-                    &mut out,
-                    format!(
-                        "\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {PID_METRICS}, \
-                         \"tid\": {tid}, \"args\": {{\"name\": \"{name} ({})\"}}",
-                        escape_json(metric.unit)
-                    ),
-                );
-                let mut lower = 0.0f64;
-                for (i, count) in buckets.iter().enumerate() {
-                    let upper = match bounds.get(i) {
-                        Some(b) => *b,
-                        // Overflow bucket: one extra decade.
-                        None => bounds.last().copied().unwrap_or(0.0) * 10.0 + 1.0,
-                    };
-                    let label = match bounds.get(i) {
-                        Some(b) => format!("<= {b}: {count}"),
-                        None => format!("overflow: {count}"),
-                    };
-                    push_event(
-                        &mut out,
-                        format!(
-                            "\"name\": \"{}\", \"cat\": \"histogram\", \"ph\": \"X\", \
-                             \"pid\": {PID_METRICS}, \"tid\": {tid}, \"ts\": {:.3}, \
-                             \"dur\": {:.3}, \"args\": {{\"count\": {count}}}",
-                            escape_json(&label),
-                            lower,
-                            (upper - lower).max(0.001),
-                        ),
-                    );
-                    lower = upper;
-                }
-            }
-            _ => {
-                for p in &metric.points {
-                    push_event(
-                        &mut out,
-                        format!(
-                            "\"name\": \"{name}\", \"ph\": \"C\", \"pid\": {PID_METRICS}, \
-                             \"ts\": {}, \"args\": {{\"value\": {}}}",
-                            ts(p.t_fs),
-                            fmt_value(p.value)
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
 /// Deterministic JSON number for a metric value (finite; NaN/inf would
 /// not be valid JSON, so they are clamped to 0).
 fn fmt_value(v: f64) -> String {
@@ -248,25 +168,5 @@ mod tests {
     fn non_finite_values_do_not_break_json() {
         assert_eq!(fmt_value(f64::NAN), "0.000000");
         assert_eq!(fmt_value(1.25), "1.250000");
-    }
-
-    #[test]
-    fn registry_trace_renders_counters_and_histogram_buckets() {
-        let mut r = MetricsRegistry::new();
-        let c = r.register_counter("serve.requests", "count").unwrap();
-        r.record(c, 0, 0, 7.0);
-        let h = r
-            .register_histogram("serve.phase.simulate", "ns", vec![1_000.0, 10_000.0])
-            .unwrap();
-        r.observe(h, 500.0).unwrap();
-        r.observe(h, 50_000.0).unwrap();
-        let trace = registry_trace(&r);
-        crate::json::validate(&trace).expect("trace must be valid JSON");
-        assert!(trace.contains("\"name\": \"serve.requests\""));
-        assert!(trace.contains("\"value\": 7.000000"));
-        assert!(trace.contains("<= 1000: 1"), "first bucket slice: {trace}");
-        assert!(trace.contains("overflow: 1"), "overflow slice: {trace}");
-        // Deterministic bytes: rendering twice is identical.
-        assert_eq!(trace, registry_trace(&r));
     }
 }

@@ -237,54 +237,6 @@ impl MetricsRegistry {
             }),
         }
     }
-
-    /// Loads a pre-aggregated distribution into a histogram in one
-    /// call: adds `buckets_in[i]` observations to bucket `i`, `count`
-    /// to the total and `sum` to the running sum. This is the
-    /// exposition path for histograms aggregated *elsewhere* (e.g. a
-    /// live daemon's stats reply) — replaying them observation by
-    /// observation would fabricate values and distort the sum.
-    ///
-    /// # Errors
-    ///
-    /// [`ObsError::KindMismatch`] when `id` does not name a histogram
-    /// or `buckets_in` does not match the histogram's bucket count
-    /// (bounds plus overflow).
-    pub fn observe_bucketed(
-        &mut self,
-        id: MetricId,
-        buckets_in: &[u64],
-        count: u64,
-        sum: f64,
-    ) -> Result<(), ObsError> {
-        let m = match self.metrics.get_mut(id.0) {
-            Some(m) => m,
-            None => return Err(ObsError::UnknownMetric(format!("#{}", id.0))),
-        };
-        match &mut m.kind {
-            MetricKind::Histogram {
-                buckets,
-                count: total,
-                sum: running,
-                ..
-            } if buckets.len() == buckets_in.len() => {
-                for (slot, add) in buckets.iter_mut().zip(buckets_in) {
-                    *slot += add;
-                }
-                *total += count;
-                *running += sum;
-                Ok(())
-            }
-            MetricKind::Histogram { .. } => Err(ObsError::KindMismatch {
-                name: m.name.clone(),
-                expected: "histogram with matching bucket count",
-            }),
-            _ => Err(ObsError::KindMismatch {
-                name: m.name.clone(),
-                expected: "histogram",
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -344,38 +296,6 @@ mod tests {
             }
             other => panic!("wrong kind {other:?}"),
         }
-    }
-
-    #[test]
-    fn bucketed_observation_loads_a_preaggregated_distribution() {
-        let mut r = MetricsRegistry::new();
-        let id = r.register_histogram("hb", "ns", vec![1.0, 2.0]).unwrap();
-        r.observe(id, 0.5).unwrap();
-        r.observe_bucketed(id, &[1, 0, 3], 4, 10.5).unwrap();
-        match &r.get("hb").unwrap().kind {
-            MetricKind::Histogram {
-                buckets,
-                count,
-                sum,
-                ..
-            } => {
-                assert_eq!(buckets, &vec![2, 0, 3]);
-                assert_eq!(*count, 5);
-                assert!((sum - 11.0).abs() < 1e-12);
-            }
-            other => panic!("wrong kind {other:?}"),
-        }
-        // Mismatched bucket count and non-histogram kinds are typed
-        // errors, not silent corruption.
-        assert!(matches!(
-            r.observe_bucketed(id, &[1, 2], 3, 0.0),
-            Err(ObsError::KindMismatch { .. })
-        ));
-        let g = r.register_gauge("gb", "x").unwrap();
-        assert!(matches!(
-            r.observe_bucketed(g, &[1], 1, 0.0),
-            Err(ObsError::KindMismatch { .. })
-        ));
     }
 
     #[test]

@@ -14,6 +14,9 @@ use crate::snapshot::{put_vf_level, Reader, SnapshotError, Writer};
 pub struct DomainClock {
     config: ClockConfig,
     level: VfLevel,
+    /// `config.period_fs(level)`, cached: the period is read several
+    /// times per engine step and changes only with `level`.
+    period: Femtos,
     /// Absolute time of the next tick.
     next_tick: Femtos,
     /// Total cycles elapsed, across all levels.
@@ -35,6 +38,7 @@ impl DomainClock {
         Self {
             config,
             level: initial,
+            period,
             next_tick: period,
             cycles: 0,
             cycles_at: [0; 3],
@@ -69,9 +73,14 @@ impl DomainClock {
         self.time_at
     }
 
+    /// The completion time of the last tick (zero before the first).
+    pub fn last_tick(&self) -> Femtos {
+        self.last_account
+    }
+
     /// Current period in femtoseconds.
     pub fn period_fs(&self) -> Femtos {
-        self.config.period_fs(self.level)
+        self.period
     }
 
     /// Converts a number of cycles at the current level to femtoseconds.
@@ -122,7 +131,14 @@ impl DomainClock {
     }
 
     /// Rebuilds a clock from [`DomainClock::encode`] bytes.
+    ///
+    /// Rejects a clock whose counters disagree with each other: every
+    /// tick keeps the per-level residencies summing to the cycle and time
+    /// totals and puts the next tick exactly one period after the last,
+    /// and stepping relies on that (a next tick far in the future would
+    /// let the other domain run unboundedly).
     pub(crate) fn decode(config: ClockConfig, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let at = r.offset();
         let level = r.vf_level()?;
         let next_tick = r.u64()?;
         let cycles = r.u64()?;
@@ -140,9 +156,21 @@ impl DomainClock {
         } else {
             None
         };
+        let period = config.period_fs(level);
+        let sum = |v: [u64; 3]| v.iter().try_fold(0u64, |acc, &x| acc.checked_add(x));
+        let consistent = sum(cycles_at) == Some(cycles)
+            && sum(time_at) == Some(last_account)
+            && last_account.checked_add(period) == Some(next_tick);
+        if !consistent {
+            return Err(SnapshotError::Corrupt {
+                offset: at,
+                what: "clock counters disagree",
+            });
+        }
         Ok(Self {
             config,
             level,
+            period,
             next_tick,
             cycles,
             cycles_at,
@@ -177,12 +205,12 @@ impl DomainClock {
         if let Some((target, apply_at)) = self.pending {
             if now >= apply_at {
                 self.level = target;
+                self.period = self.config.period_fs(target);
                 self.pending = None;
             }
         }
-        let period = self.config.period_fs(self.level);
-        crate::validate_assert!(period > 0, "clock period must be positive");
-        self.next_tick = now + period;
+        crate::validate_assert!(self.period > 0, "clock period must be positive");
+        self.next_tick = now + self.period;
         now
     }
 
@@ -201,7 +229,7 @@ impl DomainClock {
             self.pending.is_none(),
             "advance_n across a pending VF transition"
         );
-        let period = self.config.period_fs(self.level);
+        let period = self.period;
         crate::validate_assert!(period > 0, "clock period must be positive");
         let last = self.next_tick + (n - 1) * period;
         self.cycles += n;
@@ -227,7 +255,7 @@ impl DomainClock {
         if self.next_tick > target {
             0
         } else {
-            (target - self.next_tick) / self.config.period_fs(self.level) + 1
+            (target - self.next_tick) / self.period + 1
         }
     }
 }
@@ -343,6 +371,37 @@ mod tests {
         // next period is the high-level period (1e6/1.15 ~ 869565)
         let t3 = c.next_tick();
         assert!(t3 < 3_000_000 + 1_000_000);
+    }
+
+    #[test]
+    fn cached_period_follows_the_level() {
+        let mut c = clk();
+        let expect = |c: &DomainClock| c.config.period_fs(c.level());
+        assert_eq!(c.period_fs(), expect(&c));
+        c.request_level(VfLevel::High, 1_500_000);
+        c.tick();
+        assert_eq!(c.level(), VfLevel::Nominal);
+        assert_eq!(c.period_fs(), expect(&c));
+        c.tick(); // t=2e6 >= 1.5e6 -> applies
+        assert_eq!(c.level(), VfLevel::High);
+        assert_eq!(c.period_fs(), expect(&c));
+        assert_ne!(c.period_fs(), c.config.period_fs(VfLevel::Nominal));
+
+        // The period is not serialized; decode re-derives it.
+        c.request_level(VfLevel::Low, 0);
+        let mut w = Writer::new();
+        c.encode(&mut w);
+        let bytes = w.into_bytes();
+        let restored = DomainClock::decode(c.config, &mut Reader::new(&bytes)).unwrap();
+        assert_eq!(restored.level(), VfLevel::High);
+        assert_eq!(restored.period_fs(), expect(&restored));
+        let (mut a, mut b) = (c.clone(), restored);
+        for _ in 0..3 {
+            assert_eq!(a.tick(), b.tick());
+            assert_eq!(a.period_fs(), b.period_fs());
+        }
+        assert_eq!(b.level(), VfLevel::Low);
+        assert_eq!(b.period_fs(), expect(&b));
     }
 
     #[test]

@@ -640,16 +640,20 @@ impl<'o> Engine<'o> {
     }
 
     /// Serializes the complete machine state into the versioned snapshot
-    /// byte format (see `DESIGN.md` §11 for the layout).
+    /// byte format (see [`crate::snapshot`] for the layout).
     ///
     /// The snapshot captures everything the engine owns — clock domains,
     /// every SM, the memory system, the dispatcher, epoch cursors and the
     /// recorded epoch timeline — so [`Engine::restore`] resumes the run
     /// bit-identically. Governors live *outside* the engine, so a caller
     /// resuming a governed run must also restore (or re-derive) its
-    /// governor state; warm-starting a config sweep exploits exactly that
-    /// split by snapshotting a shared prefix and diverging governors
-    /// afterwards.
+    /// governor state.
+    ///
+    /// The callers are the tests: a straight run against a run
+    /// snapshotted and restored mid-way is one of the references the
+    /// differential oracle compares (`tests/snapshot_restore.rs`,
+    /// `tests/stats_digest.rs`), and the restore path is fuzzed with
+    /// corrupted bytes.
     ///
     /// Snapshots may be taken at any step boundary, but epoch boundaries
     /// are the natural point: the governor has just been consulted, so a
@@ -715,7 +719,10 @@ impl<'o> Engine<'o> {
     }
 
     /// Rebuilds an engine from [`Engine::snapshot`] bytes, resuming the
-    /// run exactly where the snapshot left off.
+    /// run exactly where the snapshot left off. Its callers are the tests
+    /// (see [`Engine::snapshot`]); it is the only decoder of bytes from
+    /// outside the program, so malformed input must come back as an
+    /// error, never a panic.
     ///
     /// `config`, `kernel` and `options` must describe the same simulated
     /// machine the snapshot was taken on; the header's fingerprint
@@ -786,6 +793,7 @@ impl<'o> Engine<'o> {
                 what: "invocation cursor beyond the kernel's invocations",
             });
         }
+        let cursors_at = r.offset();
         engine.inv_start_cycles = r.u64()?;
         engine.inv_start_fs = r.u64()?;
         engine.epoch_index = r.u64()?;
@@ -861,7 +869,38 @@ impl<'o> Engine<'o> {
             }
         }
         r.finish()?;
+        if !engine.cursors_consistent() {
+            return Err(SnapshotError::Corrupt {
+                offset: cursors_at,
+                what: "engine cursors disagree with the clocks",
+            });
+        }
         Ok(engine)
+    }
+
+    /// Whether the engine's cursors agree with its clocks the way every
+    /// reachable state does. Stepping subtracts the invocation and epoch
+    /// starts from the cycle counters and bumps the step counters, so a
+    /// restored engine that broke these would underflow or overflow.
+    fn cursors_consistent(&self) -> bool {
+        let sm_cycles = || self.sm_clocks.iter().map(DomainClock::cycles);
+        let max_cycles = sm_cycles().max().unwrap_or(0);
+        let total_cycles = sm_cycles().try_fold(0u64, u64::checked_add);
+        let last_tick = self
+            .sm_clocks
+            .iter()
+            .chain([&self.mem_clock])
+            .map(DomainClock::last_tick)
+            .max()
+            .unwrap_or(0);
+        self.now == last_tick
+            && self.inv_start_cycles <= max_cycles
+            && self.inv_start_fs <= self.now
+            && self.last_epoch_cycle <= self.sm_clocks[0].cycles()
+            && self.now.checked_add(self.epoch_span_fs) >= Some(self.next_epoch_fs)
+            && total_cycles.is_some_and(|total| self.sm_steps <= total)
+            && self.batched_ticks <= self.sm_steps
+            && self.epoch_index <= self.sm_steps
     }
 
     fn begin_invocation(&mut self, governor: &mut dyn Governor) {
@@ -1796,6 +1835,59 @@ mod tests {
         // per-tick engine and still reproduces the run.
         let mut per_tick = Engine::restore(&config, &kernel, off, &bytes).unwrap();
         assert_eq!(per_tick.run(&mut StaticGovernor).unwrap(), finished);
+    }
+
+    /// Byte offsets in a snapshot's engine prologue: the 16-byte header,
+    /// the phase tag and the invocation cursor, then the `u64` cursors
+    /// (`last_epoch_cycle` is the fourth, `now` the eighth), then the SM
+    /// clock count and clock 0's level byte before its next tick.
+    const LAST_EPOCH_CYCLE_AT: usize = 16 + 1 + 8 + 3 * 8;
+    const NOW_AT: usize = 16 + 1 + 8 + 7 * 8;
+    const CLOCK0_NEXT_TICK_AT: usize = NOW_AT + 8 + 8 + 1;
+
+    #[test]
+    fn restore_rejects_clocks_and_cursors_that_disagree() {
+        use crate::snapshot::SnapshotError;
+        let config = small_config();
+        let kernel = alu_kernel(64, 2000);
+        let opts = SimOptions::default();
+        let mut engine = Engine::new(&config, &kernel, opts).unwrap();
+        engine.run_epoch(&mut StaticGovernor).unwrap();
+        let bytes = engine.snapshot();
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(u64_at(LAST_EPOCH_CYCLE_AT), engine.last_epoch_cycle);
+        assert_eq!(u64_at(NOW_AT), engine.now);
+        assert_eq!(u64_at(CLOCK0_NEXT_TICK_AT), engine.sm_clocks[0].next_tick());
+        let restore_with = |at: usize, value: u64| {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            Engine::restore(&config, &kernel, opts, &bad)
+        };
+
+        // A next tick far past the last one would let the memory domain
+        // tick without bound before the SM domain ever steps again.
+        assert!(matches!(
+            restore_with(CLOCK0_NEXT_TICK_AT, u64::MAX),
+            Err(SnapshotError::Corrupt {
+                what: "clock counters disagree",
+                ..
+            })
+        ));
+        // `now` past every clock's last tick, and an epoch that started
+        // after the current cycle, would underflow the engine's spans.
+        for (at, value) in [
+            (NOW_AT, engine.now + 1),
+            (LAST_EPOCH_CYCLE_AT, engine.sm_clocks[0].cycles() + 1),
+        ] {
+            assert!(matches!(
+                restore_with(at, value),
+                Err(SnapshotError::Corrupt {
+                    what: "engine cursors disagree with the clocks",
+                    ..
+                })
+            ));
+        }
+        assert!(Engine::restore(&config, &kernel, opts, &bytes).is_ok());
     }
 
     #[test]

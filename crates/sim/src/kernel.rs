@@ -163,8 +163,8 @@ impl KernelSpec {
     /// The exhaustive destructuring (no `..` rest pattern) is a
     /// compile-time guard: a new `KernelSpec` field cannot ship without
     /// a decision on whether it is identity-bearing. Used by the
-    /// snapshot machine fingerprint and the serving layer's
-    /// content-addressed cache key.
+    /// snapshot machine fingerprint and the harness result store's
+    /// content-addressed `result_key`.
     pub fn fold_identity(&self, fold: &mut crate::snapshot::Fold) {
         let KernelSpec {
             name,

@@ -12,9 +12,8 @@
 //! ambient randomness), a restored engine continues *exactly* as the
 //! original would have: stepping a snapshot taken at epoch `k` to
 //! completion yields `RunStats` bit-identical to the uninterrupted run.
-//! That makes snapshots the substrate for warm-starting config sweeps
-//! that share a prefix (same kernel and options, different governor
-//! engaged at epoch `k`).
+//! The tests use that as a reference: a straight run must match a run
+//! snapshotted and restored at any epoch.
 //!
 //! ## Format
 //!
@@ -48,7 +47,7 @@
 use crate::config::{CacheConfig, ClockConfig, GpuConfig, VfLevel};
 use crate::gpu::SimOptions;
 use crate::kernel::KernelSpec;
-use crate::stats::{EpochRecord, InvocationStats, RunStats};
+use crate::stats::EpochRecord;
 use crate::util::mix64;
 
 /// Snapshot format version. Bump whenever the payload layout changes.
@@ -138,9 +137,6 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// Append-only little-endian byte writer for the snapshot format.
-///
-/// Also reused by the harness serving layer for its wire protocol, so
-/// request frames and cached results share one canonical encoding.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -349,8 +345,8 @@ pub fn put_vf_level(w: &mut Writer, level: VfLevel) {
 ///
 /// Feed it a canonical field sequence and it produces a hash that
 /// depends on every value and its position. Used for the snapshot
-/// machine fingerprint and, in the harness, for the serving layer's
-/// content-addressed `ConfigHash`.
+/// machine fingerprint and, in the harness, for the result store's
+/// content-addressed `result_key`.
 #[derive(Debug, Clone, Copy)]
 pub struct Fold {
     h: u64,
@@ -394,7 +390,7 @@ impl Fold {
 /// The exhaustive destructuring (no `..` rest pattern) is a compile-time
 /// guard: adding a field to `GpuConfig` breaks this function until the
 /// new field is folded in, so configuration changes can never silently
-/// escape snapshot fingerprints or serving-layer cache keys.
+/// escape snapshot fingerprints or result-store keys.
 pub fn fold_gpu_config(fold: &mut Fold, config: &GpuConfig) {
     let GpuConfig {
         num_sms,
@@ -516,145 +512,6 @@ pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &Si
     fold.add(*max_cycles_per_invocation);
     fold.add(u64::from(*record_epochs));
     fold.finish()
-}
-
-/// Encodes [`RunStats`] into the snapshot format's canonical bytes.
-///
-/// Deterministic and exact (floats as bit patterns), so two `RunStats`
-/// that compare equal encode to identical bytes — the serving layer
-/// caches and ships these bytes and proves cache hits byte-identical.
-pub fn encode_run_stats(stats: &RunStats) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_run_stats(&mut w, stats);
-    w.into_bytes()
-}
-
-/// Decodes [`RunStats`] from [`encode_run_stats`] bytes.
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] on malformed input.
-pub fn decode_run_stats(bytes: &[u8]) -> Result<RunStats, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let stats = get_run_stats(&mut r)?;
-    r.finish()?;
-    Ok(stats)
-}
-
-/// Writes `RunStats` into an existing writer (no header).
-pub fn put_run_stats(w: &mut Writer, stats: &RunStats) {
-    // Exhaustive destructuring: a new RunStats field cannot ship without
-    // being added to this codec (and its reader below).
-    let RunStats {
-        wall_time_fs,
-        num_sms,
-        sm_cycles_at,
-        sm_time_at,
-        mem_cycles_at,
-        mem_time_at,
-        sm_events,
-        mem_events,
-        warp_states,
-        batched_ticks,
-        epochs_executed,
-        epochs,
-        invocations,
-    } = stats;
-    w.u64(*wall_time_fs);
-    w.usize(*num_sms);
-    for v in sm_cycles_at {
-        w.u64(*v);
-    }
-    for v in sm_time_at {
-        w.u64(*v);
-    }
-    for v in mem_cycles_at {
-        w.u64(*v);
-    }
-    for v in mem_time_at {
-        w.u64(*v);
-    }
-    for e in sm_events {
-        crate::sm::put_sm_events(w, e);
-    }
-    for e in mem_events {
-        crate::memsys::put_mem_level_stats(w, e);
-    }
-    crate::counters::put_warp_state_counters(w, warp_states);
-    w.u64(*batched_ticks);
-    w.u64(*epochs_executed);
-    w.usize(epochs.len());
-    for e in epochs {
-        put_epoch_record(w, e);
-    }
-    w.usize(invocations.len());
-    for i in invocations {
-        let InvocationStats {
-            index,
-            sm_cycles,
-            wall_fs,
-        } = i;
-        w.usize(*index);
-        w.u64(*sm_cycles);
-        w.u64(*wall_fs);
-    }
-}
-
-/// Reads `RunStats` written by [`put_run_stats`].
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] on malformed input.
-pub fn get_run_stats(r: &mut Reader<'_>) -> Result<RunStats, SnapshotError> {
-    let wall_time_fs = r.u64()?;
-    let num_sms = r.usize()?;
-    let mut arrays = [[0u64; 3]; 4];
-    for arr in &mut arrays {
-        for v in arr.iter_mut() {
-            *v = r.u64()?;
-        }
-    }
-    let [sm_cycles_at, sm_time_at, mem_cycles_at, mem_time_at] = arrays;
-    let mut sm_events = [crate::sm::SmLevelEvents::default(); 3];
-    for e in &mut sm_events {
-        *e = crate::sm::get_sm_events(r)?;
-    }
-    let mut mem_events = [crate::memsys::MemLevelStats::default(); 3];
-    for e in &mut mem_events {
-        *e = crate::memsys::get_mem_level_stats(r)?;
-    }
-    let warp_states = crate::counters::get_warp_state_counters(r)?;
-    let batched_ticks = r.u64()?;
-    let epochs_executed = r.u64()?;
-    let n_epochs = r.seq_len(8)?;
-    let mut epochs = Vec::with_capacity(n_epochs);
-    for _ in 0..n_epochs {
-        epochs.push(get_epoch_record(r)?);
-    }
-    let n_inv = r.seq_len(24)?;
-    let mut invocations = Vec::with_capacity(n_inv);
-    for _ in 0..n_inv {
-        invocations.push(InvocationStats {
-            index: r.usize()?,
-            sm_cycles: r.u64()?,
-            wall_fs: r.u64()?,
-        });
-    }
-    Ok(RunStats {
-        wall_time_fs,
-        num_sms,
-        sm_cycles_at,
-        sm_time_at,
-        mem_cycles_at,
-        mem_time_at,
-        sm_events,
-        mem_events,
-        warp_states,
-        batched_ticks,
-        epochs_executed,
-        epochs,
-        invocations,
-    })
 }
 
 pub(crate) fn put_epoch_record(w: &mut Writer, e: &EpochRecord) {

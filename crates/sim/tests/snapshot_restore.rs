@@ -212,23 +212,22 @@ fn duplicate_mshr_line_is_rejected() {
     assert!(rejected > 0, "no MSHR section found to corrupt");
 }
 
-#[test]
-fn corrupted_bytes_never_panic() {
-    let config = small_config();
-    let kernel = mixed_kernel(32, 300);
+/// Feeds `bytes`, mutated three ways at sampled offsets, to
+/// `Engine::restore`: a flipped byte, and an 8-byte window overwritten
+/// with `u64::MAX` or with `1 << 40` (length fields past their caps,
+/// times and counters near overflow). Every mutant must restore or fail
+/// with a typed error, never panic; header damage must always fail.
+fn assert_mutants_never_panic(config: &GpuConfig, kernel: &KernelSpec, bytes: &[u8]) {
     let opts = SimOptions::default();
-    let mut engine = Engine::new(&config, &kernel, opts).unwrap();
-    run_to_epoch(&mut engine, 1);
-    let bytes = engine.snapshot();
-
-    // Flipping any single byte must either decode to *some* valid state
-    // (counter values are not self-certifying) or fail with a typed
-    // error; it must never panic. Header corruption must always fail.
-    let indices = (0..bytes.len()).filter(|&i| i < 256 || i + 256 > bytes.len() || i % 97 == 0);
-    for i in indices {
-        let mut bad = bytes.clone();
+    // Every offset through the header and epilogue, sampled offsets
+    // through the (large, homogeneous) machine body.
+    let sampled = |stride: usize| {
+        (0..bytes.len()).filter(move |&i| i < 256 || i + 256 > bytes.len() || i % stride == 0)
+    };
+    for i in sampled(97) {
+        let mut bad = bytes.to_vec();
         bad[i] ^= 0xA5;
-        let result = Engine::restore(&config, &kernel, opts, &bad);
+        let result = Engine::restore(config, kernel, opts, &bad);
         if i < 16 {
             let err = result
                 .err()
@@ -240,6 +239,33 @@ fn corrupted_bytes_never_panic() {
                 (_, other) => panic!("byte {i} gave unexpected error {other:?}"),
             }
         }
+    }
+    for i in sampled(89).filter(|&i| i + 8 <= bytes.len()) {
+        for value in [u64::MAX, 1 << 40] {
+            let mut bad = bytes.to_vec();
+            bad[i..i + 8].copy_from_slice(&value.to_le_bytes());
+            let result = Engine::restore(config, kernel, opts, &bad);
+            assert!(
+                i >= 16 || result.is_err(),
+                "header window at byte {i} must be detected"
+            );
+        }
+    }
+}
+
+#[test]
+fn corrupted_bytes_never_panic() {
+    let kernel = mixed_kernel(32, 300);
+    // The plain machine, and one that also carries CCWS and per-SM VRM
+    // state (per-SM clocks, lost-locality scores, issue masks).
+    let plain = small_config();
+    let mut ccws_vrm = small_config();
+    ccws_vrm.per_sm_vrm = true;
+    ccws_vrm.ccws = Some(CcwsConfig::default());
+    for config in [plain, ccws_vrm] {
+        let mut engine = Engine::new(&config, &kernel, SimOptions::default()).unwrap();
+        run_to_epoch(&mut engine, 1);
+        assert_mutants_never_panic(&config, &kernel, &engine.snapshot());
     }
 }
 

@@ -700,13 +700,11 @@ pub fn classify(rel: &Path) -> FileContext {
     };
     // The harness is not globally strict (figure sweeps legitimately
     // use wall clocks and std hash maps), but its memoization layer is —
-    // the serving layer and the result store every `Runner` uses: a
-    // wall-clock read feeding the content-addressed ConfigHash, or an
-    // iteration-order-dependent map in the cache, would silently break
-    // result memoization. The banned-token rules enforce that.
-    let memo_layer = crate_name == "harness"
-        && rest.first() == Some(&"src")
-        && matches!(rest.get(1), Some(&"serve") | Some(&"store.rs"));
+    // the result store every `Runner` uses: a wall-clock read feeding
+    // `result_key`, or an iteration-order-dependent map in the cache,
+    // would silently break result memoization. The banned-token rules
+    // enforce that.
+    let memo_layer = crate_name == "harness" && rest[..] == ["src", "store.rs"];
     FileContext {
         strict: STRICT_CRATES.contains(&crate_name) || memo_layer,
         docs_required: DOCS_CRATES.contains(&crate_name) || memo_layer,
@@ -1160,7 +1158,7 @@ fn route(_x: u32, _g: &mut Gwde) -> Vec<u32> {
         let power = classify(Path::new("crates/power/src/model.rs"));
         assert!(power.strict && !power.docs_required);
 
-        let bench = classify(Path::new("crates/bench/benches/perf_micro.rs"));
+        let bench = classify(Path::new("crates/bench/benches/fig01_sweeps.rs"));
         assert!(!bench.strict);
         assert_eq!(bench.kind, CodeKind::Test);
 
@@ -1192,32 +1190,26 @@ fn route(_x: u32, _g: &mut Gwde) -> Vec<u32> {
         // clocks and std hash maps)…
         let sweep = classify(Path::new("crates/harness/src/experiment.rs"));
         assert!(!sweep.strict && !sweep.docs_required);
-        // …but its serving layer carries the determinism rules: no
-        // wall-clock reads can feed the ConfigHash, no hash maps can
-        // order cache eviction.
+        // …but the layer that serves memoized results, the store module,
+        // carries the determinism rules: no wall-clock read can feed
+        // `result_key`, no hash map can order cache eviction.
+        let store = classify(Path::new("crates/harness/src/store.rs"));
+        assert_eq!(store.kind, CodeKind::Lib);
+        assert!(store.strict && store.docs_required);
+        // The harness binaries stay Bin (hygiene rules only).
         for path in [
-            "crates/harness/src/serve/mod.rs",
-            "crates/harness/src/serve/hash.rs",
-            "crates/harness/src/serve/cache.rs",
-            "crates/harness/src/serve/server.rs",
-            "crates/harness/src/serve/protocol.rs",
-            "crates/harness/src/serve/client.rs",
+            "crates/harness/src/bin/sim_report.rs",
+            "crates/harness/src/bin/sim_ffcheck.rs",
         ] {
             let ctx = classify(Path::new(path));
-            assert_eq!(ctx.kind, CodeKind::Lib, "{path} is library code");
-            assert!(ctx.strict && ctx.docs_required, "{path} is strict");
+            assert_eq!(ctx.kind, CodeKind::Bin, "{path} is a binary");
+            assert!(!ctx.strict, "{path} is lax");
         }
-        // The daemon binaries stay Bin (hygiene rules only).
-        assert_eq!(
-            classify(Path::new("crates/harness/src/bin/sim_serve.rs")).kind,
-            CodeKind::Bin
-        );
     }
 
     #[test]
     fn classify_makes_the_harness_result_store_strict() {
-        // The store every Runner memoizes through carries the same rules
-        // as the serving layer it was extracted from.
+        // The store every Runner memoizes through is strict.
         let ctx = classify(Path::new("crates/harness/src/store.rs"));
         assert_eq!(ctx.kind, CodeKind::Lib);
         assert!(ctx.strict && ctx.docs_required);

@@ -22,15 +22,13 @@
 //!   and a ≥ 1.5× median serial speedup on 15-SM `mri-q`; runs on any core
 //!   count), a benchmark golden check (the benchmark's unit tests, then
 //!   its `sweep-memory` workload at seed 0 must report
-//!   `"correct":true`), a `BENCH_sim.json` regeneration via the
-//!   `perf_micro` bench (an artifact, not a gate), a `sim-serve` smoke,
-//!   and a formatting check (skipped with a warning when rustfmt is
-//!   absent). Bit-identity of every fast path with per-tick stepping is
+//!   `"correct":true`), and a formatting check (skipped with a warning
+//!   when rustfmt is absent). Bit-identity of every fast path with per-tick stepping is
 //!   a tier-1 test (`tests/window_determinism.rs`), so both test runs
 //!   above enforce it.
 
 use std::env;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{exit, Command};
 use std::time::Instant;
 
@@ -359,41 +357,6 @@ fn cmd_ci() -> i32 {
         }
     }
 
-    // Regenerate the micro-benchmark table (it rewrites
-    // `BENCH_sim.json` at the workspace root) for the workflow to
-    // upload. It gates nothing: bit-identity is a tier-1 test
-    // (`tests/window_determinism.rs`), and a timing ratio between two
-    // rows is host noise on narrow runners.
-    if !run_step(
-        &cargo,
-        "bench (perf_micro)",
-        &["bench", "-p", "equalizer-bench", "--bench", "perf_micro"],
-    ) {
-        return 1;
-    }
-
-    // Serving-layer smoke: spawn the daemon on a unix socket, drive a
-    // duplicate-heavy mix through `sim-load` (which merges `serve/`
-    // rows into `BENCH_sim.json` — this step therefore runs AFTER the
-    // perf_micro bench, which rewrites that file), then query the live
-    // daemon's `Stats` frame through `sim-stat --selfcheck` (hits >= 1,
-    // phase histograms coherent, valid stats JSON, rendered artifacts
-    // under `target/serve-stats`). Gates: at least one cache hit, a
-    // clean shutdown, and the caching/warm-start speedups the rows
-    // claim.
-    println!("==> serve smoke: daemon + duplicate-heavy load + stats introspection");
-    let serve_started = Instant::now();
-    match run_serve_smoke(&workspace_root()) {
-        Ok(msg) => println!(
-            "==> serve smoke: {msg} ({:.1}s)",
-            serve_started.elapsed().as_secs_f64()
-        ),
-        Err(msg) => {
-            eprintln!("==> serve smoke failed: {msg}");
-            return 1;
-        }
-    }
-
     // rustfmt ships with rustup toolchains but not every bare cargo
     // install; a missing formatter should not fail offline CI.
     let fmt_available = Command::new(&cargo)
@@ -465,159 +428,9 @@ fn check_result_line(stdout: &str) -> Result<String, String> {
     }
 }
 
-/// Extracts the `mean_ns` value of the named row from `BENCH_sim.json`
-/// text. The file is written by `equalizer_bench::timing::json_report`
-/// — one object per line with `"name": "..."` and `"mean_ns": N`
-/// fields — so a line scan is enough; no JSON parser needed.
-fn bench_mean_ns(json: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"name\": \"{name}\"");
-    let line = json.lines().find(|l| l.contains(&tag))?;
-    let rest = line.split("\"mean_ns\":").nth(1)?;
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse::<f64>().ok()
-}
-
-/// Spawns the release `sim-serve` daemon on a scratch unix socket,
-/// drives the default duplicate-heavy `sim-load` mix through it
-/// (merging `serve/` rows into `BENCH_sim.json`), then queries the
-/// live daemon's telemetry through `sim-stat --selfcheck` (which gates
-/// coherent phase histograms and valid stats JSON, renders the
-/// artifacts under `target/serve-stats`, and shuts the daemon down).
-/// Asserts: at least one cache hit, a clean daemon shutdown, cached
-/// replies at least 10x faster than cold simulations, and warm-started
-/// sweeps faster than their from-cycle-0 equivalents.
-fn run_serve_smoke(root: &Path) -> Result<String, String> {
-    let sock = root.join("target").join("sim-serve-smoke.sock");
-    let _ = std::fs::remove_file(&sock);
-    let serve_bin = root.join("target").join("release").join("sim-serve");
-    let load_bin = root.join("target").join("release").join("sim-load");
-    let stat_bin = root.join("target").join("release").join("sim-stat");
-
-    let mut daemon = Command::new(&serve_bin)
-        .arg("--unix")
-        .arg(&sock)
-        .args(["--workers", "3"])
-        .current_dir(root)
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", serve_bin.display()))?;
-
-    // The daemon binds before printing its readiness line, so the
-    // socket file appearing is the signal that connects will succeed.
-    let mut waited_ms = 0u64;
-    while !sock.exists() {
-        if let Ok(Some(status)) = daemon.try_wait() {
-            return Err(format!("sim-serve exited before binding: {status}"));
-        }
-        if waited_ms >= 10_000 {
-            let _ = daemon.kill();
-            let _ = daemon.wait();
-            return Err("sim-serve never bound its socket".to_string());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        waited_ms += 50;
-    }
-
-    let endpoint = format!("unix:{}", sock.display());
-    let load = Command::new(&load_bin)
-        .args(["--endpoint", &endpoint])
-        .args(["--min-hits", "1"])
-        .args(["--bench", "BENCH_sim.json"])
-        .arg("--stats")
-        .current_dir(root)
-        .status();
-    let load = match load {
-        Ok(status) => status,
-        Err(e) => {
-            let _ = daemon.kill();
-            let _ = daemon.wait();
-            return Err(format!("cannot spawn {}: {e}", load_bin.display()));
-        }
-    };
-    if !load.success() {
-        let _ = daemon.kill();
-        let _ = daemon.wait();
-        return Err(format!(
-            "sim-load failed ({load}): no cache hit, or a protocol error"
-        ));
-    }
-
-    // Live-daemon introspection: one Stats frame, self-checked (hit
-    // count, histogram coherence, RFC 8259 stats JSON), rendered to
-    // `target/serve-stats` for CI to upload, then a clean shutdown.
-    let stats_dir = root.join("target").join("serve-stats");
-    let stat = Command::new(&stat_bin)
-        .args(["--endpoint", &endpoint])
-        .args(["--min-hits", "1"])
-        .arg("--selfcheck")
-        .arg("--out")
-        .arg(&stats_dir)
-        .arg("--shutdown")
-        .current_dir(root)
-        .status();
-    let stat = match stat {
-        Ok(status) => status,
-        Err(e) => {
-            let _ = daemon.kill();
-            let _ = daemon.wait();
-            return Err(format!("cannot spawn {}: {e}", stat_bin.display()));
-        }
-    };
-    if !stat.success() {
-        let _ = daemon.kill();
-        let _ = daemon.wait();
-        return Err(format!(
-            "sim-stat failed ({stat}): incoherent stats frame, invalid \
-             stats JSON, or a protocol error"
-        ));
-    }
-
-    // `--shutdown` asked the daemon to exit; a hang here means the
-    // shutdown path regressed, which is exactly what CI should catch.
-    let status = daemon
-        .wait()
-        .map_err(|e| format!("waiting for sim-serve: {e}"))?;
-    if !status.success() {
-        return Err(format!("sim-serve exited with {status}"));
-    }
-
-    let bench = root.join("BENCH_sim.json");
-    let json = std::fs::read_to_string(&bench)
-        .map_err(|e| format!("could not read {}: {e}", bench.display()))?;
-    let row = |name: &str| {
-        bench_mean_ns(&json, name).ok_or_else(|| format!("no {name} row in BENCH_sim.json"))
-    };
-    let cold = row("serve/cold")?;
-    let cached = row("serve/cached")?;
-    let warm_cold = row("serve/warm-cold")?;
-    let warm_start = row("serve/warm-start")?;
-    if cached * 10.0 > cold {
-        return Err(format!(
-            "cached replies are only {:.1}x faster than cold simulation \
-             (mean {cached:.0} ns vs {cold:.0} ns; target 10x)",
-            cold / cached.max(1.0)
-        ));
-    }
-    if warm_start * 1.05 > warm_cold {
-        return Err(format!(
-            "warm-start sweep (mean {warm_start:.0} ns) is not measurably \
-             faster than from-cycle-0 (mean {warm_cold:.0} ns)"
-        ));
-    }
-    Ok(format!(
-        "cached {:.0}x over cold, warm-start {:.2}x over cold sweep, \
-         stats frame coherent, daemon shut down cleanly",
-        cold / cached.max(1.0),
-        warm_cold / warm_start.max(1.0)
-    ))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{bench_mean_ns, check_result_line};
+    use super::check_result_line;
 
     #[test]
     fn result_line_must_report_correct() {
@@ -629,20 +442,5 @@ mod tests {
         assert!(check_result_line("{\"correct\":false,\"attempted\":48}\n").is_err());
         assert!(check_result_line("{\"correct\":true}\nwall_s 7.7 s\n").is_err());
         assert!(check_result_line("").is_err());
-    }
-
-    #[test]
-    fn bench_mean_ns_parses_the_timing_report_shape() {
-        let json = concat!(
-            "[\n",
-            "  {\"name\": \"baseline-15sm/mri-q\", \"min_ns\": 1, ",
-            "\"median_ns\": 2, \"mean_ns\": 400, \"samples\": 5},\n",
-            "  {\"name\": \"fastforward/mri-q\", \"min_ns\": 1, ",
-            "\"median_ns\": 2, \"mean_ns\": 100, \"samples\": 5}\n",
-            "]\n",
-        );
-        assert_eq!(bench_mean_ns(json, "baseline-15sm/mri-q"), Some(400.0));
-        assert_eq!(bench_mean_ns(json, "fastforward/mri-q"), Some(100.0));
-        assert_eq!(bench_mean_ns(json, "missing/row"), None);
     }
 }

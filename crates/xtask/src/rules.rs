@@ -30,8 +30,8 @@ pub const ANALYZE_RULES: &[&str] = &[
 ];
 
 /// Crates whose library code forms the analysis universe. The harness
-/// is included for its serving layer: the lock-order rule must see the
-/// server's mutex/condvar usage to prove no lock is reachable from the
+/// is included for its result store: the lock-order rule must see the
+/// store's mutex and condvar to prove no lock is reachable from the
 /// simulator's stepping hot path.
 pub const ANALYZE_CRATES: &[&str] = &["sim", "core", "power", "baselines", "obs", "harness"];
 

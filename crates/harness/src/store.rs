@@ -26,10 +26,11 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use equalizer_baselines::StaticPoint;
 use equalizer_core::Mode;
-use equalizer_sim::config::GpuConfig;
+use equalizer_sim::ccws::CcwsConfig;
+use equalizer_sim::config::{CacheConfig, ClockConfig, GpuConfig};
 use equalizer_sim::gpu::SimOptions;
 use equalizer_sim::kernel::KernelSpec;
-use equalizer_sim::snapshot::{fold_gpu_config, Fold};
+use equalizer_sim::util::Fold;
 
 use crate::System;
 
@@ -101,6 +102,109 @@ fn system_code(system: System) -> (u64, u64) {
         System::Ccws => (5, 0),
         System::FixedBlocks(n) => (6, n as u64),
     }
+}
+
+/// Folds every field of a [`GpuConfig`] into `fold`.
+///
+/// The exhaustive destructuring (no `..` rest pattern) is a compile-time
+/// guard: adding a field to `GpuConfig` breaks this function until the
+/// new field is folded in, so configuration changes can never silently
+/// escape result keys.
+fn fold_gpu_config(fold: &mut Fold, config: &GpuConfig) {
+    let GpuConfig {
+        num_sms,
+        warp_size,
+        max_warps_per_sm,
+        max_blocks_per_sm,
+        issue_width,
+        max_alu_issue,
+        max_mem_issue,
+        alu_latency,
+        l1_hit_latency,
+        lsu_queue_cap,
+        l1,
+        l1_mshr,
+        l2,
+        l2_latency,
+        dram_latency,
+        icnt_cap,
+        tex_queue_cap,
+        dram_queue_cap,
+        l2_banks,
+        dram_bytes_per_cycle,
+        sm_clock,
+        mem_clock,
+        epoch_cycles,
+        sample_interval,
+        vrm_delay_cycles,
+        warp_launch_stagger,
+        per_sm_vrm,
+        initial_sm_level,
+        initial_mem_level,
+        ccws,
+    } = config;
+    fold.add(*num_sms as u64);
+    fold.add(*warp_size as u64);
+    fold.add(*max_warps_per_sm as u64);
+    fold.add(*max_blocks_per_sm as u64);
+    fold.add(*issue_width as u64);
+    fold.add(*max_alu_issue as u64);
+    fold.add(*max_mem_issue as u64);
+    fold.add(u64::from(*alu_latency));
+    fold.add(u64::from(*l1_hit_latency));
+    fold.add(*lsu_queue_cap as u64);
+    fold_cache_config(fold, l1);
+    fold.add(*l1_mshr as u64);
+    fold_cache_config(fold, l2);
+    fold.add(u64::from(*l2_latency));
+    fold.add(u64::from(*dram_latency));
+    fold.add(*icnt_cap as u64);
+    fold.add(*tex_queue_cap as u64);
+    fold.add(*dram_queue_cap as u64);
+    fold.add(*l2_banks as u64);
+    fold.add(*dram_bytes_per_cycle);
+    fold_clock_config(fold, sm_clock);
+    fold_clock_config(fold, mem_clock);
+    fold.add(*epoch_cycles);
+    fold.add(*sample_interval);
+    fold.add(*vrm_delay_cycles);
+    fold.add(u64::from(*warp_launch_stagger));
+    fold.add(u64::from(*per_sm_vrm));
+    fold.add(initial_sm_level.index() as u64);
+    fold.add(initial_mem_level.index() as u64);
+    match ccws {
+        None => fold.add(0),
+        Some(c) => {
+            let CcwsConfig {
+                vta_entries,
+                score_gain,
+                score_decay_per_kcycle,
+                base_score,
+            } = c;
+            fold.add(1);
+            fold.add(*vta_entries as u64);
+            fold.add(u64::from(*score_gain));
+            fold.add(u64::from(*score_decay_per_kcycle));
+            fold.add(u64::from(*base_score));
+        }
+    }
+}
+
+fn fold_cache_config(fold: &mut Fold, c: &CacheConfig) {
+    let CacheConfig {
+        sets,
+        ways,
+        line_bytes,
+    } = c;
+    fold.add(*sets as u64);
+    fold.add(*ways as u64);
+    fold.add(*line_bytes);
+}
+
+fn fold_clock_config(fold: &mut Fold, c: &ClockConfig) {
+    let ClockConfig { nominal_mhz, step } = c;
+    fold.add_f64(*nominal_mhz);
+    fold.add_f64(*step);
 }
 
 #[derive(Debug)]

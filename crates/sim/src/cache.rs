@@ -23,7 +23,7 @@ pub enum Lookup {
     Miss,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Way {
     tag: u64,
     valid: bool,
@@ -32,7 +32,7 @@ struct Way {
 }
 
 /// Tag-only set-associative cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     ways: Vec<Way>,
@@ -165,47 +165,6 @@ impl Cache {
     /// The cache geometry.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Serializes the dynamic state (tags, LRU clock, statistics). The
-    /// geometry is not written; decode reconstructs it from the config.
-    pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
-        w.usize(self.ways.len());
-        for way in &self.ways {
-            w.u64(way.tag);
-            w.bool(way.valid);
-            w.u64(way.lru);
-        }
-        w.u64(self.clock);
-        w.u64(self.accesses);
-        w.u64(self.hits);
-        w.u64(self.evictions);
-    }
-
-    /// Rebuilds a cache of geometry `config` from [`Cache::encode`] bytes.
-    pub(crate) fn decode(
-        config: CacheConfig,
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let mut cache = Self::new(config);
-        let at = r.offset();
-        let n = r.seq_len(10)?;
-        if n != cache.ways.len() {
-            return Err(crate::snapshot::SnapshotError::Corrupt {
-                offset: at,
-                what: "cache way count differs from geometry",
-            });
-        }
-        for way in &mut cache.ways {
-            way.tag = r.u64()?;
-            way.valid = r.bool()?;
-            way.lru = r.u64()?;
-        }
-        cache.clock = r.u64()?;
-        cache.accesses = r.u64()?;
-        cache.hits = r.u64()?;
-        cache.evictions = r.u64()?;
-        Ok(cache)
     }
 }
 

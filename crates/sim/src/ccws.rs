@@ -134,11 +134,6 @@ impl CcwsState {
         self.lost_locality_events
     }
 
-    /// The tuning parameters this state was built with.
-    pub(crate) fn config(&self) -> &CcwsConfig {
-        &self.config
-    }
-
     /// Clears per-invocation state (scores and VTAs).
     pub fn reset(&mut self) {
         for v in &mut self.vtas {
@@ -146,63 +141,6 @@ impl CcwsState {
         }
         self.lls.fill(0);
         self.allowed.fill(true);
-    }
-
-    /// Serializes the dynamic state (VTAs, scores, issue mask). The
-    /// config is not written; decode reconstructs it from the caller.
-    pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
-        w.usize(self.vtas.len());
-        for vta in &self.vtas {
-            w.usize(vta.len());
-            for &tag in vta {
-                w.u64(tag);
-            }
-        }
-        for &s in &self.lls {
-            w.u32(s);
-        }
-        for &a in &self.allowed {
-            w.bool(a);
-        }
-        w.u64(self.lost_locality_events);
-    }
-
-    /// Rebuilds state for `num_warps` warps from [`CcwsState::encode`]
-    /// bytes.
-    pub(crate) fn decode(
-        config: CcwsConfig,
-        num_warps: usize,
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let mut state = Self::new(config, num_warps);
-        let at = r.offset();
-        if r.seq_len(8)? != num_warps {
-            return Err(crate::snapshot::SnapshotError::Corrupt {
-                offset: at,
-                what: "CCWS warp count differs from machine",
-            });
-        }
-        for vta in &mut state.vtas {
-            let at = r.offset();
-            let n = r.seq_len(8)?;
-            if n > config.vta_entries {
-                return Err(crate::snapshot::SnapshotError::Corrupt {
-                    offset: at,
-                    what: "CCWS victim tag array overflows its bound",
-                });
-            }
-            for _ in 0..n {
-                vta.push(r.u64()?);
-            }
-        }
-        for s in &mut state.lls {
-            *s = r.u32()?;
-        }
-        for a in &mut state.allowed {
-            *a = r.bool()?;
-        }
-        state.lost_locality_events = r.u64()?;
-        Ok(state)
     }
 }
 

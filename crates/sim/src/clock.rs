@@ -7,10 +7,9 @@
 //! effect after a configurable voltage-regulator delay.
 
 use crate::config::{ClockConfig, Femtos, VfLevel};
-use crate::snapshot::{put_vf_level, Reader, SnapshotError, Writer};
 
 /// One clock domain with a retunable VF level.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainClock {
     config: ClockConfig,
     level: VfLevel,
@@ -105,79 +104,6 @@ impl DomainClock {
         } else {
             self.pending = Some((target, apply_at));
         }
-    }
-
-    /// Serializes the clock's dynamic state (the `ClockConfig` is not
-    /// written; it is supplied again on decode from the `GpuConfig`).
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        put_vf_level(w, self.level);
-        w.u64(self.next_tick);
-        w.u64(self.cycles);
-        for v in self.cycles_at {
-            w.u64(v);
-        }
-        for v in self.time_at {
-            w.u64(v);
-        }
-        w.u64(self.last_account);
-        match self.pending {
-            None => w.bool(false),
-            Some((level, at)) => {
-                w.bool(true);
-                put_vf_level(w, level);
-                w.u64(at);
-            }
-        }
-    }
-
-    /// Rebuilds a clock from [`DomainClock::encode`] bytes.
-    ///
-    /// Rejects a clock whose counters disagree with each other: every
-    /// tick keeps the per-level residencies summing to the cycle and time
-    /// totals and puts the next tick exactly one period after the last,
-    /// and stepping relies on that (a next tick far in the future would
-    /// let the other domain run unboundedly).
-    pub(crate) fn decode(config: ClockConfig, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let level = r.vf_level()?;
-        let next_tick = r.u64()?;
-        let cycles = r.u64()?;
-        let mut cycles_at = [0u64; 3];
-        for v in &mut cycles_at {
-            *v = r.u64()?;
-        }
-        let mut time_at = [0 as Femtos; 3];
-        for v in &mut time_at {
-            *v = r.u64()?;
-        }
-        let last_account = r.u64()?;
-        let pending = if r.bool()? {
-            Some((r.vf_level()?, r.u64()?))
-        } else {
-            None
-        };
-        let period = config.period_fs(level);
-        let sum = |v: [u64; 3]| v.iter().try_fold(0u64, |acc, &x| acc.checked_add(x));
-        let consistent = sum(cycles_at) == Some(cycles)
-            && sum(time_at) == Some(last_account)
-            && last_account.checked_add(period) == Some(next_tick);
-        if !consistent {
-            return Err(SnapshotError::Corrupt {
-                offset: at,
-                what: "clock counters disagree",
-            });
-        }
-        Ok(Self {
-            config,
-            level,
-            period,
-            next_tick,
-            cycles,
-            cycles_at,
-            time_at,
-            last_account,
-            pending,
-        })
     }
 
     /// Advances the domain by one cycle and returns the tick's completion
@@ -328,10 +254,7 @@ mod tests {
             last = stepped.tick();
         }
         assert_eq!(jumped.advance_n(9), last);
-        let (mut a, mut b) = (Writer::new(), Writer::new());
-        stepped.encode(&mut a);
-        jumped.encode(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes(), "advance_n diverged");
+        assert_eq!(stepped, jumped, "advance_n diverged");
     }
 
     #[test]
@@ -387,21 +310,10 @@ mod tests {
         assert_eq!(c.period_fs(), expect(&c));
         assert_ne!(c.period_fs(), c.config.period_fs(VfLevel::Nominal));
 
-        // The period is not serialized; decode re-derives it.
         c.request_level(VfLevel::Low, 0);
-        let mut w = Writer::new();
-        c.encode(&mut w);
-        let bytes = w.into_bytes();
-        let restored = DomainClock::decode(c.config, &mut Reader::new(&bytes)).unwrap();
-        assert_eq!(restored.level(), VfLevel::High);
-        assert_eq!(restored.period_fs(), expect(&restored));
-        let (mut a, mut b) = (c.clone(), restored);
-        for _ in 0..3 {
-            assert_eq!(a.tick(), b.tick());
-            assert_eq!(a.period_fs(), b.period_fs());
-        }
-        assert_eq!(b.level(), VfLevel::Low);
-        assert_eq!(b.period_fs(), expect(&b));
+        c.tick();
+        assert_eq!(c.level(), VfLevel::Low);
+        assert_eq!(c.period_fs(), expect(&c));
     }
 
     #[test]

@@ -174,75 +174,6 @@ impl WarpStateCounters {
     }
 }
 
-pub(crate) fn put_cycle_snapshot(w: &mut crate::snapshot::Writer, s: &CycleSnapshot) {
-    let CycleSnapshot {
-        active,
-        waiting,
-        issued,
-        excess_alu,
-        excess_mem,
-        others,
-    } = s;
-    w.u32(*active);
-    w.u32(*waiting);
-    w.u32(*issued);
-    w.u32(*excess_alu);
-    w.u32(*excess_mem);
-    w.u32(*others);
-}
-
-pub(crate) fn get_cycle_snapshot(
-    r: &mut crate::snapshot::Reader<'_>,
-) -> Result<CycleSnapshot, crate::snapshot::SnapshotError> {
-    Ok(CycleSnapshot {
-        active: r.u32()?,
-        waiting: r.u32()?,
-        issued: r.u32()?,
-        excess_alu: r.u32()?,
-        excess_mem: r.u32()?,
-        others: r.u32()?,
-    })
-}
-
-pub(crate) fn put_warp_state_counters(w: &mut crate::snapshot::Writer, c: &WarpStateCounters) {
-    let WarpStateCounters {
-        active,
-        waiting,
-        issued,
-        excess_alu,
-        excess_mem,
-        others,
-        samples,
-        idle_cycles,
-        cycles,
-    } = c;
-    w.u64(*active);
-    w.u64(*waiting);
-    w.u64(*issued);
-    w.u64(*excess_alu);
-    w.u64(*excess_mem);
-    w.u64(*others);
-    w.u64(*samples);
-    w.u64(*idle_cycles);
-    w.u64(*cycles);
-}
-
-pub(crate) fn get_warp_state_counters(
-    r: &mut crate::snapshot::Reader<'_>,
-) -> Result<WarpStateCounters, crate::snapshot::SnapshotError> {
-    Ok(WarpStateCounters {
-        active: r.u64()?,
-        waiting: r.u64()?,
-        issued: r.u64()?,
-        excess_alu: r.u64()?,
-        excess_mem: r.u64()?,
-        others: r.u64()?,
-        samples: r.u64()?,
-        idle_cycles: r.u64()?,
-        cycles: r.u64()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -336,9 +336,8 @@ pub struct Engine<'o> {
     // Run cursor.
     sm_steps: u64,
     batched_ticks: u64,
-    // Diagnostic only: never enters `RunStats` or snapshots (restore
-    // resets it), so results stay bit-identical with or without anyone
-    // reading it.
+    // Diagnostic only: never enters `RunStats`, so results stay
+    // bit-identical with or without anyone reading it.
     batch_stats: BatchWindowStats,
     now: Femtos,
     single_sm: bool,
@@ -395,8 +394,7 @@ impl<'o> Engine<'o> {
         let mut sms: Vec<Sm> = (0..config.num_sms).map(|i| Sm::new(i, config)).collect();
         if options.fast_forward {
             // The issue-walk fast cuts ride the same knob as the
-            // window machinery; `restore` funnels through here, so a
-            // restored engine arms it consistently too.
+            // window machinery.
             for sm in &mut sms {
                 sm.set_fast_issue(true);
             }
@@ -502,8 +500,7 @@ impl<'o> Engine<'o> {
     ///
     /// `RunStats`-adjacent on purpose — like [`Engine::batched_ticks`]
     /// it describes the wall-clock optimisation, not the simulated
-    /// machine, so it never enters [`RunStats`] or snapshots
-    /// (restoring resets it). Deterministic.
+    /// machine, so it never enters [`RunStats`]. Deterministic.
     pub fn batch_window_stats(&self) -> &BatchWindowStats {
         &self.batch_stats
     }
@@ -587,7 +584,7 @@ impl<'o> Engine<'o> {
     }
 
     /// Assembles run statistics for the simulation so far. Callable at
-    /// any point — mid-run snapshots see partial cycle counts and the
+    /// any point — a mid-run call sees partial cycle counts and the
     /// epochs recorded up to now.
     ///
     /// With per-SM VRMs the SM-domain residency is averaged over SMs, so
@@ -639,270 +636,6 @@ impl<'o> Engine<'o> {
         stats
     }
 
-    /// Serializes the complete machine state into the versioned snapshot
-    /// byte format (see [`crate::snapshot`] for the layout).
-    ///
-    /// The snapshot captures everything the engine owns — clock domains,
-    /// every SM, the memory system, the dispatcher, epoch cursors and the
-    /// recorded epoch timeline — so [`Engine::restore`] resumes the run
-    /// bit-identically. Governors live *outside* the engine, so a caller
-    /// resuming a governed run must also restore (or re-derive) its
-    /// governor state.
-    ///
-    /// The callers are the tests: a straight run against a run
-    /// snapshotted and restored mid-way is one of the references the
-    /// differential oracle compares (`tests/snapshot_restore.rs`,
-    /// `tests/stats_digest.rs`), and the restore path is fuzzed with
-    /// corrupted bytes.
-    ///
-    /// Snapshots may be taken at any step boundary, but epoch boundaries
-    /// are the natural point: the governor has just been consulted, so a
-    /// stateless governor needs nothing re-derived. Attached observers
-    /// are not serialized (they are borrowed instrumentation, not machine
-    /// state).
-    pub fn snapshot(&self) -> Vec<u8> {
-        use crate::snapshot::{
-            machine_fingerprint, put_epoch_record, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-        };
-        let mut w = Writer::new();
-        w.u32(SNAPSHOT_MAGIC);
-        w.u32(SNAPSHOT_VERSION);
-        w.u64(machine_fingerprint(
-            &self.config,
-            &self.kernel,
-            &self.options,
-        ));
-
-        w.u8(match self.phase {
-            Phase::StartInvocation => 0,
-            Phase::Running => 1,
-            Phase::Complete => 2,
-        });
-        w.usize(self.inv_idx);
-        w.u64(self.inv_start_cycles);
-        w.u64(self.inv_start_fs);
-        w.u64(self.epoch_index);
-        w.u64(self.last_epoch_cycle);
-        w.u64(self.next_epoch_fs);
-        w.u64(self.sm_steps);
-        w.u64(self.batched_ticks);
-        w.u64(self.now);
-
-        w.usize(self.sm_clocks.len());
-        for clock in &self.sm_clocks {
-            clock.encode(&mut w);
-        }
-        self.mem_clock.encode(&mut w);
-        self.gwde.encode(&mut w);
-        self.mem.encode(&mut w);
-
-        w.usize(self.sms.len());
-        for sm in &self.sms {
-            sm.encode_state(&mut w);
-        }
-
-        w.usize(self.invocations.len());
-        for inv in &self.invocations {
-            w.usize(inv.index);
-            w.u64(inv.sm_cycles);
-            w.u64(inv.wall_fs);
-        }
-
-        w.bool(self.recorder.is_some());
-        if let Some(recorder) = &self.recorder {
-            w.usize(recorder.records().len());
-            for record in recorder.records() {
-                put_epoch_record(&mut w, record);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Rebuilds an engine from [`Engine::snapshot`] bytes, resuming the
-    /// run exactly where the snapshot left off. Its callers are the tests
-    /// (see [`Engine::snapshot`]); it is the only decoder of bytes from
-    /// outside the program, so malformed input must come back as an
-    /// error, never a panic.
-    ///
-    /// `config`, `kernel` and `options` must describe the same simulated
-    /// machine the snapshot was taken on; the header's fingerprint
-    /// enforces that. The wall-clock-only knobs
-    /// ([`SimOptions::max_batch_ticks`], [`SimOptions::fast_forward`])
-    /// are excluded from the fingerprint, so a snapshot taken on a
-    /// per-tick run restores onto an engine that opens fused windows
-    /// (and vice versa) — results stay bit-identical because a window is
-    /// exactly `w` per-tick steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`](crate::snapshot::SnapshotError) when
-    /// the bytes are malformed (bad magic, unsupported version,
-    /// truncated or corrupt payload, trailing bytes) or describe a
-    /// different machine than `config`/`kernel`/`options` build.
-    pub fn restore(
-        config: &GpuConfig,
-        kernel: &KernelSpec,
-        options: SimOptions,
-        bytes: &[u8],
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{
-            get_epoch_record, machine_fingerprint, Reader, SnapshotError, SNAPSHOT_MAGIC,
-            SNAPSHOT_VERSION,
-        };
-        let mut r = Reader::new(bytes);
-        if r.u32()? != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let expected = machine_fingerprint(config, kernel, &options);
-        let found = r.u64()?;
-        if found != expected {
-            return Err(SnapshotError::MachineMismatch { expected, found });
-        }
-
-        let mut engine = Engine::new(config, kernel, options).map_err(|e| match e {
-            SimError::InvalidConfig(msg) => SnapshotError::InvalidConfig(msg),
-            other => SnapshotError::InvalidConfig(other.to_string()),
-        })?;
-
-        let at = r.offset();
-        engine.phase = match r.u8()? {
-            0 => Phase::StartInvocation,
-            1 => Phase::Running,
-            2 => Phase::Complete,
-            _ => {
-                return Err(SnapshotError::Corrupt {
-                    offset: at,
-                    what: "invalid engine phase tag",
-                })
-            }
-        };
-        let at = r.offset();
-        engine.inv_idx = r.usize()?;
-        let inv_count = kernel.invocations().len();
-        let in_range = match engine.phase {
-            Phase::Running => engine.inv_idx < inv_count,
-            _ => engine.inv_idx <= inv_count,
-        };
-        if !in_range {
-            return Err(SnapshotError::Corrupt {
-                offset: at,
-                what: "invocation cursor beyond the kernel's invocations",
-            });
-        }
-        let cursors_at = r.offset();
-        engine.inv_start_cycles = r.u64()?;
-        engine.inv_start_fs = r.u64()?;
-        engine.epoch_index = r.u64()?;
-        engine.last_epoch_cycle = r.u64()?;
-        engine.next_epoch_fs = r.u64()?;
-        engine.sm_steps = r.u64()?;
-        engine.batched_ticks = r.u64()?;
-        engine.now = r.u64()?;
-
-        let at = r.offset();
-        if r.seq_len(11)? != engine.sm_clocks.len() {
-            return Err(SnapshotError::Corrupt {
-                offset: at,
-                what: "SM clock count differs from machine",
-            });
-        }
-        for clock in &mut engine.sm_clocks {
-            *clock = DomainClock::decode(config.sm_clock, &mut r)?;
-        }
-        engine.mem_clock = DomainClock::decode(config.mem_clock, &mut r)?;
-        engine.gwde = Gwde::decode(&mut r)?;
-        engine.mem = MemSystem::decode(config, &mut r)?;
-
-        let at = r.offset();
-        if r.seq_len(16)? != engine.sms.len() {
-            return Err(SnapshotError::Corrupt {
-                offset: at,
-                what: "SM count differs from machine",
-            });
-        }
-        // SMs hold the running invocation's program while an invocation
-        // is live, and keep the previous one's across the retirement gap
-        // (`begin_invocation` swaps it in). Resolve the Arc the engine
-        // phase implies; `decode_state` rejects bytes that disagree.
-        let program = match engine.phase {
-            Phase::StartInvocation if engine.inv_idx == 0 => None,
-            Phase::Running => kernel
-                .invocations()
-                .get(engine.inv_idx)
-                .map(|inv| inv.program.clone()),
-            _ => kernel
-                .invocations()
-                .get(engine.inv_idx.wrapping_sub(1))
-                .map(|inv| inv.program.clone()),
-        };
-        for sm in &mut engine.sms {
-            sm.decode_state(&mut r, program.clone())?;
-        }
-
-        let n = r.seq_len(24)?;
-        engine.invocations = Vec::with_capacity(n);
-        for _ in 0..n {
-            engine.invocations.push(InvocationStats {
-                index: r.usize()?,
-                sm_cycles: r.u64()?,
-                wall_fs: r.u64()?,
-            });
-        }
-
-        let at = r.offset();
-        let recorded = r.bool()?;
-        if recorded != engine.recorder.is_some() {
-            return Err(SnapshotError::Corrupt {
-                offset: at,
-                what: "recorder presence disagrees with options",
-            });
-        }
-        if let Some(recorder) = &mut engine.recorder {
-            let n = r.seq_len(32)?;
-            recorder.records = Vec::with_capacity(n);
-            for _ in 0..n {
-                recorder.records.push(get_epoch_record(&mut r)?);
-            }
-        }
-        r.finish()?;
-        if !engine.cursors_consistent() {
-            return Err(SnapshotError::Corrupt {
-                offset: cursors_at,
-                what: "engine cursors disagree with the clocks",
-            });
-        }
-        Ok(engine)
-    }
-
-    /// Whether the engine's cursors agree with its clocks the way every
-    /// reachable state does. Stepping subtracts the invocation and epoch
-    /// starts from the cycle counters and bumps the step counters, so a
-    /// restored engine that broke these would underflow or overflow.
-    fn cursors_consistent(&self) -> bool {
-        let sm_cycles = || self.sm_clocks.iter().map(DomainClock::cycles);
-        let max_cycles = sm_cycles().max().unwrap_or(0);
-        let total_cycles = sm_cycles().try_fold(0u64, u64::checked_add);
-        let last_tick = self
-            .sm_clocks
-            .iter()
-            .chain([&self.mem_clock])
-            .map(DomainClock::last_tick)
-            .max()
-            .unwrap_or(0);
-        self.now == last_tick
-            && self.inv_start_cycles <= max_cycles
-            && self.inv_start_fs <= self.now
-            && self.last_epoch_cycle <= self.sm_clocks[0].cycles()
-            && self.now.checked_add(self.epoch_span_fs) >= Some(self.next_epoch_fs)
-            && total_cycles.is_some_and(|total| self.sm_steps <= total)
-            && self.batched_ticks <= self.sm_steps
-            && self.epoch_index <= self.sm_steps
-    }
-
     fn begin_invocation(&mut self, governor: &mut dyn Governor) {
         let (grid_blocks, program) = {
             let invocation = &self.kernel.invocations()[self.inv_idx];
@@ -918,7 +651,7 @@ impl<'o> Engine<'o> {
         self.gwde = Gwde::new(grid_blocks);
         self.mem.flush_l2();
         for sm in &mut self.sms {
-            sm.begin_invocation(&self.kernel, self.inv_idx, program.clone());
+            sm.begin_invocation(&self.kernel, program.clone());
             sm.fill(&mut self.gwde);
         }
         governor.on_invocation_start(self.inv_idx, &self.kernel);
@@ -1805,89 +1538,6 @@ mod tests {
             "every window is fused"
         );
         assert_eq!(e_off.batched_ticks(), 0, "fast-forward off steps per tick");
-    }
-
-    #[test]
-    fn snapshot_restores_across_the_fast_forward_knob() {
-        let config = small_config();
-        let kernel = stall_kernel(16, 30);
-        let on = SimOptions::default();
-        let off = SimOptions {
-            fast_forward: false,
-            ..on
-        };
-        let mut engine = Engine::new(&config, &kernel, on).unwrap();
-        let mut steps = 0u64;
-        while engine.batch_window_stats().fused_windows == 0 {
-            assert_ne!(
-                engine.step(&mut StaticGovernor).unwrap(),
-                StepEvent::Complete,
-                "run ended before any fused window"
-            );
-            steps += 1;
-            assert!(steps < 1_000_000, "no fused window ever opened");
-        }
-        let bytes = engine.snapshot();
-        let finished = engine.run(&mut StaticGovernor).unwrap();
-        let mut resumed = Engine::restore(&config, &kernel, on, &bytes).unwrap();
-        assert_eq!(resumed.run(&mut StaticGovernor).unwrap(), finished);
-        // The knob is wall-clock-only: the same snapshot restores onto a
-        // per-tick engine and still reproduces the run.
-        let mut per_tick = Engine::restore(&config, &kernel, off, &bytes).unwrap();
-        assert_eq!(per_tick.run(&mut StaticGovernor).unwrap(), finished);
-    }
-
-    /// Byte offsets in a snapshot's engine prologue: the 16-byte header,
-    /// the phase tag and the invocation cursor, then the `u64` cursors
-    /// (`last_epoch_cycle` is the fourth, `now` the eighth), then the SM
-    /// clock count and clock 0's level byte before its next tick.
-    const LAST_EPOCH_CYCLE_AT: usize = 16 + 1 + 8 + 3 * 8;
-    const NOW_AT: usize = 16 + 1 + 8 + 7 * 8;
-    const CLOCK0_NEXT_TICK_AT: usize = NOW_AT + 8 + 8 + 1;
-
-    #[test]
-    fn restore_rejects_clocks_and_cursors_that_disagree() {
-        use crate::snapshot::SnapshotError;
-        let config = small_config();
-        let kernel = alu_kernel(64, 2000);
-        let opts = SimOptions::default();
-        let mut engine = Engine::new(&config, &kernel, opts).unwrap();
-        engine.run_epoch(&mut StaticGovernor).unwrap();
-        let bytes = engine.snapshot();
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        assert_eq!(u64_at(LAST_EPOCH_CYCLE_AT), engine.last_epoch_cycle);
-        assert_eq!(u64_at(NOW_AT), engine.now);
-        assert_eq!(u64_at(CLOCK0_NEXT_TICK_AT), engine.sm_clocks[0].next_tick());
-        let restore_with = |at: usize, value: u64| {
-            let mut bad = bytes.clone();
-            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            Engine::restore(&config, &kernel, opts, &bad)
-        };
-
-        // A next tick far past the last one would let the memory domain
-        // tick without bound before the SM domain ever steps again.
-        assert!(matches!(
-            restore_with(CLOCK0_NEXT_TICK_AT, u64::MAX),
-            Err(SnapshotError::Corrupt {
-                what: "clock counters disagree",
-                ..
-            })
-        ));
-        // `now` past every clock's last tick, and an epoch that started
-        // after the current cycle, would underflow the engine's spans.
-        for (at, value) in [
-            (NOW_AT, engine.now + 1),
-            (LAST_EPOCH_CYCLE_AT, engine.sm_clocks[0].cycles() + 1),
-        ] {
-            assert!(matches!(
-                restore_with(at, value),
-                Err(SnapshotError::Corrupt {
-                    what: "engine cursors disagree with the clocks",
-                    ..
-                })
-            ));
-        }
-        assert!(Engine::restore(&config, &kernel, opts, &bytes).is_ok());
     }
 
     #[test]

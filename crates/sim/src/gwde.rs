@@ -47,31 +47,6 @@ impl Gwde {
     pub fn drained(&self) -> bool {
         self.next_block == self.total_blocks
     }
-
-    /// Serializes the dispatcher state.
-    pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
-        w.u64(self.total_blocks);
-        w.u64(self.next_block);
-    }
-
-    /// Rebuilds a dispatcher from [`Gwde::encode`] bytes.
-    pub(crate) fn decode(
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let total_blocks = r.u64()?;
-        let at = r.offset();
-        let next_block = r.u64()?;
-        if next_block > total_blocks {
-            return Err(crate::snapshot::SnapshotError::Corrupt {
-                offset: at,
-                what: "GWDE cursor beyond grid",
-            });
-        }
-        Ok(Self {
-            total_blocks,
-            next_block,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -82,7 +82,6 @@ pub mod kernel;
 pub mod memsys;
 pub mod program;
 pub mod sm;
-pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
 pub mod util;

@@ -358,148 +358,29 @@ impl MemSystem {
         self.l2.flush();
     }
 
-    /// Serializes the dynamic state. Queues keep their order; response
-    /// heaps are written as sorted element lists (pop order depends only
-    /// on the multiset, so the canonical form is deterministic even
-    /// though the internal heap layout is not).
-    pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
-        for queue in [&self.icnt, &self.tex, &self.dram] {
-            w.usize(queue.len());
-            for req in queue {
-                put_mem_req(w, req);
-            }
-        }
-        self.l2.encode(w);
-        w.u64(self.credit);
-        w.usize(self.responses.len());
-        for heap in &self.responses {
-            let mut entries: Vec<(Femtos, u64)> = heap.iter().map(|Reverse(pair)| *pair).collect();
-            entries.sort_unstable();
-            w.usize(entries.len());
-            for (ready, token) in entries {
-                w.u64(ready);
-                w.u64(token);
-            }
-        }
-        for s in &self.stats {
-            put_mem_level_stats(w, s);
-        }
-        w.bool(self.prefer_tex);
+    /// Every piece of dynamic state, for whole-state comparisons in
+    /// tests. Response heaps come out as sorted lists: pop order depends
+    /// only on the multiset, never on the internal heap layout.
+    #[cfg(test)]
+    fn state(&self) -> impl PartialEq + std::fmt::Debug + '_ {
+        let responses: Vec<Vec<(Femtos, u64)>> = self
+            .responses
+            .iter()
+            .map(|heap| {
+                let mut entries: Vec<_> = heap.iter().map(|Reverse(pair)| *pair).collect();
+                entries.sort_unstable();
+                entries
+            })
+            .collect();
+        (
+            [&self.icnt, &self.tex, &self.dram],
+            &self.l2,
+            self.credit,
+            responses,
+            &self.stats,
+            self.prefer_tex,
+        )
     }
-
-    /// Rebuilds the memory system for `config` from [`MemSystem::encode`]
-    /// bytes.
-    pub(crate) fn decode(
-        config: &GpuConfig,
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let mut mem = Self::new(config);
-        for (queue, cap) in [
-            (&mut mem.icnt, config.icnt_cap),
-            (&mut mem.tex, config.tex_queue_cap),
-            (&mut mem.dram, config.dram_queue_cap),
-        ] {
-            let at = r.offset();
-            let n = r.seq_len(26)?;
-            if n > cap {
-                return Err(crate::snapshot::SnapshotError::Corrupt {
-                    offset: at,
-                    what: "memory queue overflows its capacity",
-                });
-            }
-            for _ in 0..n {
-                queue.push_back(get_mem_req(r, config.num_sms)?);
-            }
-        }
-        mem.l2 = Cache::decode(config.l2, r)?;
-        mem.credit = r.u64()?;
-        let at = r.offset();
-        if r.seq_len(8)? != config.num_sms {
-            return Err(crate::snapshot::SnapshotError::Corrupt {
-                offset: at,
-                what: "response heap count differs from SM count",
-            });
-        }
-        for heap in &mut mem.responses {
-            let n = r.seq_len(16)?;
-            for _ in 0..n {
-                let ready = r.u64()?;
-                let token = r.u64()?;
-                heap.push(Reverse((ready, token)));
-            }
-        }
-        for s in &mut mem.stats {
-            *s = get_mem_level_stats(r)?;
-        }
-        mem.prefer_tex = r.bool()?;
-        Ok(mem)
-    }
-}
-
-fn put_mem_req(w: &mut crate::snapshot::Writer, req: &MemReq) {
-    let MemReq {
-        sm,
-        token,
-        addr,
-        is_load,
-        texture,
-    } = req;
-    w.usize(*sm);
-    w.u64(*token);
-    w.u64(*addr);
-    w.bool(*is_load);
-    w.bool(*texture);
-}
-
-fn get_mem_req(
-    r: &mut crate::snapshot::Reader<'_>,
-    num_sms: usize,
-) -> Result<MemReq, crate::snapshot::SnapshotError> {
-    let at = r.offset();
-    let sm = r.usize()?;
-    if sm >= num_sms {
-        return Err(crate::snapshot::SnapshotError::Corrupt {
-            offset: at,
-            what: "memory request from an SM beyond the machine",
-        });
-    }
-    Ok(MemReq {
-        sm,
-        token: r.u64()?,
-        addr: r.u64()?,
-        is_load: r.bool()?,
-        texture: r.bool()?,
-    })
-}
-
-pub(crate) fn put_mem_level_stats(w: &mut crate::snapshot::Writer, s: &MemLevelStats) {
-    let MemLevelStats {
-        l2_accesses,
-        l2_hits,
-        dram_accesses,
-        dram_busy_cycles,
-        dram_idle_upstream_cycles,
-        icnt_occupancy_sum,
-    } = s;
-    w.u64(*l2_accesses);
-    w.u64(*l2_hits);
-    w.u64(*dram_accesses);
-    w.u64(*dram_busy_cycles);
-    w.u64(*dram_idle_upstream_cycles);
-    w.u64(*icnt_occupancy_sum);
-}
-
-pub(crate) fn get_mem_level_stats(
-    r: &mut crate::snapshot::Reader<'_>,
-) -> Result<MemLevelStats, crate::snapshot::SnapshotError> {
-    Ok(MemLevelStats {
-        l2_accesses: r.u64()?,
-        l2_hits: r.u64()?,
-        dram_accesses: r.u64()?,
-        dram_busy_cycles: r.u64()?,
-        dram_idle_upstream_cycles: r.u64()?,
-        icnt_occupancy_sum: r.u64()?,
-    })
 }
 
 #[cfg(test)]
@@ -714,15 +595,9 @@ mod tests {
             stepped.step(t0 + j * period, VfLevel::Nominal, period);
         }
         forwarded.fast_forward(cycles, VfLevel::Nominal);
-        let (mut a, mut b) = (
-            crate::snapshot::Writer::new(),
-            crate::snapshot::Writer::new(),
-        );
-        stepped.encode(&mut a);
-        forwarded.encode(&mut b);
         assert_eq!(
-            a.into_bytes(),
-            b.into_bytes(),
+            stepped.state(),
+            forwarded.state(),
             "fast_forward diverged from per-cycle stepping"
         );
     }

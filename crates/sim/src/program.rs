@@ -8,8 +8,6 @@
 //! configurable address pattern and coalescing degree, and barriers model
 //! intra-block synchronisation.
 
-use crate::util::SplitMix64;
-
 /// How a memory instruction generates line addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressPattern {
@@ -271,16 +269,12 @@ impl ProgCounter {
 #[derive(Debug, Clone)]
 pub struct AddressGen {
     line_bytes: u64,
-    rng: SplitMix64,
 }
 
 impl AddressGen {
     /// Creates a generator for a given cache-line size.
-    pub fn new(line_bytes: u64, seed: u64) -> Self {
-        Self {
-            line_bytes,
-            rng: SplitMix64::new(seed),
-        }
+    pub fn new(line_bytes: u64) -> Self {
+        Self { line_bytes }
     }
 
     /// Generates the `access_idx`-th line address of the `counter`-th
@@ -329,19 +323,13 @@ impl AddressGen {
         };
         line * self.line_bytes
     }
-
-    /// The RNG cursor, for snapshot serialization. [`AddressGen::new`]
-    /// with this value as the seed reproduces the generator exactly.
-    pub(crate) fn rng_state(&self) -> u64 {
-        self.rng.state()
-    }
 }
 
 /// Folds the program's complete identity (every instruction, iteration
 /// count and the imbalance profile) into `fold`. The exhaustive matches
 /// and destructurings are the compile-time guard: new IR variants or
 /// fields cannot ship without being folded in.
-pub(crate) fn fold_program_identity(fold: &mut crate::snapshot::Fold, program: &Program) {
+pub(crate) fn fold_program_identity(fold: &mut crate::util::Fold, program: &Program) {
     // has_sync is a pure function of the segments, so the segments
     // alone carry the identity.
     let Program {
@@ -402,89 +390,6 @@ pub(crate) fn fold_program_identity(fold: &mut crate::snapshot::Fold, program: &
     }
 }
 
-pub(crate) fn put_prog_counter(w: &mut crate::snapshot::Writer, pc: &ProgCounter) {
-    let ProgCounter {
-        segment,
-        iteration,
-        instr,
-    } = pc;
-    w.usize(*segment);
-    w.u32(*iteration);
-    w.usize(*instr);
-}
-
-pub(crate) fn get_prog_counter(
-    r: &mut crate::snapshot::Reader<'_>,
-) -> Result<ProgCounter, crate::snapshot::SnapshotError> {
-    Ok(ProgCounter {
-        segment: r.usize()?,
-        iteration: r.u32()?,
-        instr: r.usize()?,
-    })
-}
-
-pub(crate) fn put_mem_instr(w: &mut crate::snapshot::Writer, m: &MemInstr) {
-    let MemInstr {
-        is_load,
-        pattern,
-        accesses,
-        space,
-    } = m;
-    w.bool(*is_load);
-    match pattern {
-        AddressPattern::Streaming => w.u8(0),
-        AddressPattern::WorkingSet { lines } => {
-            w.u8(1);
-            w.u32(*lines);
-        }
-        AddressPattern::Shared { lines } => {
-            w.u8(2);
-            w.u32(*lines);
-        }
-    }
-    w.u8(*accesses);
-    w.u8(match space {
-        MemSpace::Global => 0,
-        MemSpace::Texture => 1,
-    });
-}
-
-pub(crate) fn get_mem_instr(
-    r: &mut crate::snapshot::Reader<'_>,
-) -> Result<MemInstr, crate::snapshot::SnapshotError> {
-    let is_load = r.bool()?;
-    let at = r.offset();
-    let pattern = match r.u8()? {
-        0 => AddressPattern::Streaming,
-        1 => AddressPattern::WorkingSet { lines: r.u32()? },
-        2 => AddressPattern::Shared { lines: r.u32()? },
-        _ => {
-            return Err(crate::snapshot::SnapshotError::Corrupt {
-                offset: at,
-                what: "address pattern",
-            })
-        }
-    };
-    let accesses = r.u8()?;
-    let at = r.offset();
-    let space = match r.u8()? {
-        0 => MemSpace::Global,
-        1 => MemSpace::Texture,
-        _ => {
-            return Err(crate::snapshot::SnapshotError::Corrupt {
-                offset: at,
-                what: "memory space",
-            })
-        }
-    };
-    Ok(MemInstr {
-        is_load,
-        pattern,
-        accesses,
-        space,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,7 +437,7 @@ mod tests {
 
     #[test]
     fn streaming_addresses_never_repeat_within_warp() {
-        let gen = AddressGen::new(128, 1);
+        let gen = AddressGen::new(128);
         let mut seen = std::collections::HashSet::new();
         for counter in 0..1000 {
             let a = gen.line_addr(AddressPattern::Streaming, 0, 5, counter, 0);
@@ -542,7 +447,7 @@ mod tests {
 
     #[test]
     fn working_set_addresses_bounded() {
-        let gen = AddressGen::new(128, 2);
+        let gen = AddressGen::new(128);
         for counter in 0..1000 {
             let a = gen.line_addr(AddressPattern::WorkingSet { lines: 16 }, 0, 3, counter, 0);
             let line = a / 128;
@@ -555,7 +460,7 @@ mod tests {
 
     #[test]
     fn working_set_covers_whole_footprint() {
-        let gen = AddressGen::new(128, 2);
+        let gen = AddressGen::new(128);
         let mut seen = std::collections::HashSet::new();
         for counter in 0..2000 {
             let a = gen.line_addr(AddressPattern::WorkingSet { lines: 16 }, 0, 0, counter, 0);
@@ -566,18 +471,18 @@ mod tests {
 
     #[test]
     fn working_set_is_order_independent() {
-        let g1 = AddressGen::new(128, 1);
-        let g2 = AddressGen::new(128, 999);
+        let g1 = AddressGen::new(128);
+        let g2 = AddressGen::new(128);
         let p = AddressPattern::WorkingSet { lines: 32 };
         // Same (uid, counter, access) yields the same address regardless of
-        // generator state or seed.
+        // generator or SM.
         assert_eq!(g1.line_addr(p, 0, 7, 42, 1), g2.line_addr(p, 5, 7, 42, 1));
     }
 
     #[test]
     fn shared_addresses_alias_across_warps() {
-        let g1 = AddressGen::new(128, 3);
-        let g2 = AddressGen::new(128, 4);
+        let g1 = AddressGen::new(128);
+        let g2 = AddressGen::new(128);
         let a = g1.line_addr(AddressPattern::Shared { lines: 4 }, 2, 10, 0, 0);
         let b = g2.line_addr(AddressPattern::Shared { lines: 4 }, 2, 99, 0, 0);
         assert_eq!(a, b, "shared pattern should alias across warps of an SM");
@@ -585,7 +490,7 @@ mod tests {
 
     #[test]
     fn different_warps_never_alias_private_patterns() {
-        let gen = AddressGen::new(128, 5);
+        let gen = AddressGen::new(128);
         let a = gen.line_addr(AddressPattern::Streaming, 0, 1, 0, 0);
         let b = gen.line_addr(AddressPattern::Streaming, 0, 2, 0, 0);
         assert_ne!(a, b);

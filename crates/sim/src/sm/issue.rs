@@ -271,7 +271,7 @@ impl Sm {
         // Moved out rather than cloned: this runs every SM cycle, and a
         // take/put-back is two pointer copies where an `Arc` clone is two
         // atomic refcount operations. Nothing in the walk reads
-        // `self.program` (restored before anything else can).
+        // `self.program` (it is put back before anything else can).
         let Some(owned) = self.program.take() else {
             return snap;
         };

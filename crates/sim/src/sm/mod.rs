@@ -114,7 +114,7 @@ pub struct Sm {
     sched_order: Vec<usize>,
     order_dirty: bool,
     /// The issue walk's candidate set over `sched_order` (see `issue`).
-    /// Derived like `sched_order`: rebuilt with it, never serialized.
+    /// Derived like `sched_order` and rebuilt with it.
     cand: issue::Candidates,
 
     lsu: VecDeque<LsuEntry>,
@@ -141,18 +141,14 @@ pub struct Sm {
     ccws: Option<CcwsState>,
     blocks_completed: u64,
     /// Issue-walk fast cuts armed (the engine sets this when
-    /// [`crate::gpu::SimOptions::fast_forward`] is on). Not serialized:
-    /// restore rebuilds the engine from its own options.
+    /// [`crate::gpu::SimOptions::fast_forward`] is on).
     fast_issue: bool,
     /// Whether the current cycle's snapshot is sampled (`cycles` is a
     /// multiple of `sample_interval`). Set once per cycle by
-    /// [`Sm::cycle_local`] for the issue stage and [`Sm::account_cycle`];
-    /// not serialized, since every cycle sets it before use.
+    /// [`Sm::cycle_local`] for the issue stage and [`Sm::account_cycle`].
     sampled: bool,
     /// Resident warps whose launch stagger is still counting down.
-    /// Maintained incrementally at launch and on every decrement; not
-    /// serialized (recomputed from the warps on decode, like
-    /// `sched_order`).
+    /// Maintained incrementally at launch and on every decrement.
     staggered: usize,
 }
 
@@ -184,7 +180,7 @@ impl Sm {
             l1: Cache::new(config.l1),
             mshr: mshr::MshrFile::new(config.l1_mshr),
             local_ready: BinaryHeap::new(),
-            addr_gen: AddressGen::new(config.l1.line_bytes, id as u64),
+            addr_gen: AddressGen::new(config.l1.line_bytes),
             target_blocks: 1,
             cycles: 0,
             snapshot: CycleSnapshot::default(),
@@ -218,12 +214,7 @@ impl Sm {
     }
 
     /// Prepares the SM for a new kernel invocation.
-    pub fn begin_invocation(
-        &mut self,
-        kernel: &KernelSpec,
-        invocation: usize,
-        program: Arc<Program>,
-    ) {
+    pub fn begin_invocation(&mut self, kernel: &KernelSpec, program: Arc<Program>) {
         self.w_cta = kernel.warps_per_block();
         self.resident_limit = kernel.resident_block_limit(self.max_block_slots_hw, self.max_warps);
         self.program = Some(program);
@@ -243,13 +234,6 @@ impl Sm {
         if let Some(ccws) = &mut self.ccws {
             ccws.reset();
         }
-        self.addr_gen = AddressGen::new(
-            self.l1.config().line_bytes,
-            kernel
-                .seed()
-                .wrapping_add((self.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((invocation as u64) << 32),
-        );
     }
 
     /// The effective resident-block limit for the current kernel.
@@ -528,292 +512,6 @@ impl Sm {
         }
     }
 
-    /// Serializes the SM's dynamic state (warps, blocks, LD/ST queue,
-    /// MSHRs, L1, CCWS, counters). Configuration copies are not written —
-    /// decode runs on an SM freshly built from the same `GpuConfig`.
-    ///
-    /// Canonical forms: the MSHR file and the local-hit heap are written
-    /// as sorted lists, so two bit-identical machines encode to
-    /// bit-identical bytes. The scheduler order cache
-    /// (`sched_order`) and the issue candidate set are skipped entirely —
-    /// both are derived from the resident blocks and warps and are rebuilt
-    /// on first use after decode.
-    pub(crate) fn encode_state(&self, w: &mut crate::snapshot::Writer) {
-        w.usize(self.w_cta);
-        w.usize(self.resident_limit);
-        w.bool(self.program.is_some());
-        w.usize(self.warps.len());
-        for slot in &self.warps {
-            match slot {
-                None => w.bool(false),
-                Some(warp) => {
-                    w.bool(true);
-                    crate::warp::put_warp(w, warp);
-                }
-            }
-        }
-        w.usize(self.blocks.len());
-        for slot in &self.blocks {
-            match slot {
-                None => w.bool(false),
-                Some(b) => {
-                    let BlockState {
-                        block_index,
-                        warp_slots,
-                        paused,
-                        launch_seq,
-                    } = b;
-                    w.bool(true);
-                    w.u64(*block_index);
-                    w.usize(warp_slots.len());
-                    for &s in warp_slots {
-                        w.usize(s);
-                    }
-                    w.bool(*paused);
-                    w.u64(*launch_seq);
-                }
-            }
-        }
-        w.u64(self.launch_seq);
-        w.usize(self.lsu.len());
-        for e in &self.lsu {
-            let LsuEntry {
-                warp_slot,
-                warp_uid,
-                instr,
-                mem_counter,
-                next_access,
-            } = e;
-            w.usize(*warp_slot);
-            w.u64(*warp_uid);
-            crate::program::put_mem_instr(w, instr);
-            w.u64(*mem_counter);
-            w.u32(*next_access);
-        }
-        self.l1.encode(w);
-        self.mshr.encode(w);
-        let mut local: Vec<(Femtos, usize)> =
-            self.local_ready.iter().map(|Reverse(pair)| *pair).collect();
-        local.sort_unstable();
-        w.usize(local.len());
-        for (ready, slot) in local {
-            w.u64(ready);
-            w.usize(slot);
-        }
-        w.u64(self.addr_gen.rng_state());
-        w.usize(self.target_blocks);
-        w.u64(self.cycles);
-        crate::counters::put_cycle_snapshot(w, &self.snapshot);
-        crate::counters::put_warp_state_counters(w, &self.epoch);
-        crate::counters::put_warp_state_counters(w, &self.run_total);
-        for e in &self.events {
-            put_sm_events(w, e);
-        }
-        w.usize(self.inbox.len());
-        for &t in &self.inbox {
-            w.u64(t);
-        }
-        match &self.pending {
-            None => w.bool(false),
-            Some(PendingAccess {
-                line,
-                addr,
-                is_load,
-                texture,
-                warp_slot,
-            }) => {
-                w.bool(true);
-                w.u64(*line);
-                w.u64(*addr);
-                w.bool(*is_load);
-                w.bool(*texture);
-                w.usize(*warp_slot);
-            }
-        }
-        w.usize(self.completed_scratch.len());
-        for &s in &self.completed_scratch {
-            w.usize(s);
-        }
-        match &self.ccws {
-            None => w.bool(false),
-            Some(c) => {
-                w.bool(true);
-                c.encode(w);
-            }
-        }
-        w.u64(self.blocks_completed);
-    }
-
-    /// Restores the dynamic state written by [`Sm::encode_state`] into
-    /// this freshly constructed SM. `program` is the invocation program
-    /// resolved by the engine (the snapshot records only its presence).
-    pub(crate) fn decode_state(
-        &mut self,
-        r: &mut crate::snapshot::Reader<'_>,
-        program: Option<Arc<Program>>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let corrupt = |offset: usize, what: &'static str| SnapshotError::Corrupt { offset, what };
-        self.w_cta = r.usize()?;
-        self.resident_limit = r.usize()?;
-        let at = r.offset();
-        let has_program = r.bool()?;
-        if has_program != program.is_some() {
-            return Err(corrupt(at, "program presence disagrees with engine phase"));
-        }
-        self.program = program;
-        let at = r.offset();
-        if r.seq_len(1)? != self.warps.len() {
-            return Err(corrupt(at, "warp slot count differs from machine"));
-        }
-        let (num_warps, num_blocks) = (self.warps.len(), self.blocks.len());
-        for slot in &mut self.warps {
-            *slot = if r.bool()? {
-                let at = r.offset();
-                let warp = crate::warp::get_warp(r)?;
-                if warp.slot >= num_warps || warp.block_slot >= num_blocks {
-                    return Err(corrupt(at, "warp references out-of-range slot"));
-                }
-                Some(warp)
-            } else {
-                None
-            };
-        }
-        let at = r.offset();
-        if r.seq_len(1)? != self.blocks.len() {
-            return Err(corrupt(at, "block slot count differs from machine"));
-        }
-        let max_warps = self.warps.len();
-        for slot in &mut self.blocks {
-            *slot = if r.bool()? {
-                let block_index = r.u64()?;
-                let at = r.offset();
-                let n = r.seq_len(8)?;
-                if n > max_warps {
-                    return Err(corrupt(at, "block claims more warp slots than exist"));
-                }
-                let mut warp_slots = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let at = r.offset();
-                    let s = r.usize()?;
-                    if s >= max_warps {
-                        return Err(corrupt(at, "block references out-of-range warp slot"));
-                    }
-                    warp_slots.push(s);
-                }
-                Some(BlockState {
-                    block_index,
-                    warp_slots,
-                    paused: r.bool()?,
-                    launch_seq: r.u64()?,
-                })
-            } else {
-                None
-            };
-        }
-        self.launch_seq = r.u64()?;
-        // The cached scheduler order and candidate set are not
-        // serialized; rebuild lazily.
-        self.order_dirty = true;
-        // Like sched_order, the stagger census is derived state.
-        self.staggered = self
-            .warps
-            .iter()
-            .flatten()
-            .filter(|warp| warp.stagger > 0)
-            .count();
-        let at = r.offset();
-        let n = r.seq_len(30)?;
-        if n > self.lsu_cap {
-            return Err(corrupt(at, "LD/ST queue overflows its capacity"));
-        }
-        self.lsu.clear();
-        for _ in 0..n {
-            let at = r.offset();
-            let warp_slot = r.usize()?;
-            if warp_slot >= max_warps {
-                return Err(corrupt(at, "LD/ST entry references out-of-range warp slot"));
-            }
-            self.lsu.push_back(LsuEntry {
-                warp_slot,
-                warp_uid: r.u64()?,
-                instr: crate::program::get_mem_instr(r)?,
-                mem_counter: r.u64()?,
-                next_access: r.u32()?,
-            });
-        }
-        self.l1 = Cache::decode(*self.l1.config(), r)?;
-        self.mshr.decode(r, max_warps)?;
-        self.local_ready.clear();
-        let n = r.seq_len(16)?;
-        for _ in 0..n {
-            let ready = r.u64()?;
-            let at = r.offset();
-            let slot = r.usize()?;
-            if slot >= max_warps {
-                return Err(corrupt(
-                    at,
-                    "local-hit entry references out-of-range warp slot",
-                ));
-            }
-            self.local_ready.push(Reverse((ready, slot)));
-        }
-        self.addr_gen = AddressGen::new(self.l1.config().line_bytes, r.u64()?);
-        self.target_blocks = r.usize()?;
-        self.cycles = r.u64()?;
-        self.snapshot = crate::counters::get_cycle_snapshot(r)?;
-        self.epoch = crate::counters::get_warp_state_counters(r)?;
-        self.run_total = crate::counters::get_warp_state_counters(r)?;
-        for e in &mut self.events {
-            *e = get_sm_events(r)?;
-        }
-        let n = r.seq_len(8)?;
-        self.inbox.clear();
-        for _ in 0..n {
-            self.inbox.push(r.u64()?);
-        }
-        self.pending = if r.bool()? {
-            let line = r.u64()?;
-            let addr = r.u64()?;
-            let is_load = r.bool()?;
-            let texture = r.bool()?;
-            let at = r.offset();
-            let warp_slot = r.usize()?;
-            if warp_slot >= max_warps {
-                return Err(corrupt(
-                    at,
-                    "pending access references out-of-range warp slot",
-                ));
-            }
-            Some(PendingAccess {
-                line,
-                addr,
-                is_load,
-                texture,
-                warp_slot,
-            })
-        } else {
-            None
-        };
-        let n = r.seq_len(8)?;
-        self.completed_scratch.clear();
-        for _ in 0..n {
-            self.completed_scratch.push(r.usize()?);
-        }
-        let at = r.offset();
-        let has_ccws = r.bool()?;
-        match (&mut self.ccws, has_ccws) {
-            (Some(state), true) => {
-                let config = *state.config();
-                *state = CcwsState::decode(config, max_warps, r)?;
-            }
-            (None, false) => {}
-            _ => return Err(corrupt(at, "CCWS presence disagrees with configuration")),
-        }
-        self.blocks_completed = r.u64()?;
-        Ok(())
-    }
-
     /// Sanitizer hook (`validate` feature): asserts that the SM holds no
     /// in-flight memory state. Called at kernel-invocation completion —
     /// an MSHR entry, queued LSU access or pending local hit surviving
@@ -857,36 +555,6 @@ impl Sm {
             self.id
         );
     }
-}
-
-pub(crate) fn put_sm_events(w: &mut crate::snapshot::Writer, e: &SmLevelEvents) {
-    let SmLevelEvents {
-        issued,
-        alu_ops,
-        mem_instrs,
-        l1_accesses,
-        l1_hits,
-        busy_cycles,
-    } = e;
-    w.u64(*issued);
-    w.u64(*alu_ops);
-    w.u64(*mem_instrs);
-    w.u64(*l1_accesses);
-    w.u64(*l1_hits);
-    w.u64(*busy_cycles);
-}
-
-pub(crate) fn get_sm_events(
-    r: &mut crate::snapshot::Reader<'_>,
-) -> Result<SmLevelEvents, crate::snapshot::SnapshotError> {
-    Ok(SmLevelEvents {
-        issued: r.u64()?,
-        alu_ops: r.u64()?,
-        mem_instrs: r.u64()?,
-        l1_accesses: r.u64()?,
-        l1_hits: r.u64()?,
-        busy_cycles: r.u64()?,
-    })
 }
 
 #[cfg(test)]
@@ -939,7 +607,7 @@ mod tests {
         let mut sm = Sm::new(0, &c);
         let mut mem = MemSystem::new(&c);
         let k = alu_kernel(4, 6, 10);
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(6);
         run_to_completion(&mut sm, &mut mem, &mut gwde, 1_000_000);
         assert_eq!(sm.blocks_completed(), 6);
@@ -969,7 +637,7 @@ mod tests {
                 )])),
             }],
         );
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(4);
         run_to_completion(&mut sm, &mut mem, &mut gwde, 1_000_000);
         assert_eq!(sm.blocks_completed(), 4);
@@ -995,7 +663,7 @@ mod tests {
                 )])),
             }],
         );
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(2);
         run_to_completion(&mut sm, &mut mem, &mut gwde, 1_000_000);
         assert_eq!(sm.blocks_completed(), 2);
@@ -1006,7 +674,7 @@ mod tests {
         let c = cfg();
         let mut sm = Sm::new(0, &c);
         let k = alu_kernel(4, 100, 1000);
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(100);
         sm.fill(&mut gwde);
         assert_eq!(sm.active_blocks(), 8);
@@ -1024,7 +692,7 @@ mod tests {
         let c = cfg();
         let mut sm = Sm::new(0, &c);
         let k = alu_kernel(6, 10, 10); // resident limit = 8
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         sm.set_target_blocks(0);
         assert_eq!(sm.target_blocks(), 1);
         sm.set_target_blocks(100);
@@ -1037,7 +705,7 @@ mod tests {
         let mut sm = Sm::new(0, &c);
         let mut mem = MemSystem::new(&c);
         let k = alu_kernel(4, 8, 50);
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(8);
         sm.fill(&mut gwde);
         sm.set_target_blocks(2);
@@ -1055,7 +723,7 @@ mod tests {
         let mut sm = Sm::new(0, &c);
         assert_eq!(sm.resident_warps(), 0);
         let k = alu_kernel(4, 100, 1000);
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(100);
         sm.fill(&mut gwde);
         assert_eq!(sm.resident_warps(), 8 * 4, "8 blocks of 4 warps resident");
@@ -1081,7 +749,7 @@ mod tests {
                 program: Arc::new(Program::new(vec![Segment::new(vec![Instr::alu(); 8], 200)])),
             }],
         );
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(8);
         run_to_completion(&mut sm, &mut mem, &mut gwde, 1_000_000);
         let rc = sm.run_counters();
@@ -1113,7 +781,7 @@ mod tests {
                 )])),
             }],
         );
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(8);
         run_to_completion(&mut sm, &mut mem, &mut gwde, 1_000_000);
         let rc = sm.run_counters();
@@ -1152,7 +820,7 @@ mod tests {
                 )])),
             }],
         );
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(1);
         run_to_completion(&mut sm, &mut mem, &mut gwde, 1_000_000);
         assert!(
@@ -1190,7 +858,7 @@ mod tests {
                 )])),
             }],
         );
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(8);
         run_to_completion(&mut sm, &mut mem, &mut gwde, 1_000_000);
         assert!(
@@ -1200,94 +868,13 @@ mod tests {
         );
     }
 
-    /// Steps `sm` from `now` until it is drained, returning the final
-    /// time and the number of cycles taken.
-    fn finish_from(
-        sm: &mut Sm,
-        mem: &mut MemSystem,
-        gwde: &mut Gwde,
-        mut now: Femtos,
-        period: Femtos,
-    ) -> (Femtos, u64) {
-        let mut cycles = 0u64;
-        while sm.busy() || !sm.quiescent() || !gwde.drained() {
-            now += period;
-            mem.step(now, VfLevel::Nominal, period);
-            sm.cycle(now, VfLevel::Nominal, period, mem, gwde);
-            sm.fill(gwde);
-            cycles += 1;
-            assert!(cycles < 2_000_000, "SM wedged");
-        }
-        (now, cycles)
-    }
-
-    #[test]
-    fn held_access_survives_encode_decode() {
-        // A one-entry interconnect over a starved two-entry DRAM queue:
-        // the LD/ST head's primary misses are refused for many cycles in
-        // a row.
-        let mut c = cfg();
-        c.icnt_cap = 1;
-        c.dram_queue_cap = 2;
-        c.dram_bytes_per_cycle = 16;
-        let k = KernelSpec::new(
-            "held",
-            KernelCategory::Memory,
-            4,
-            8,
-            vec![crate::kernel::Invocation {
-                grid_blocks: 8,
-                program: Arc::new(Program::new(vec![Segment::new(
-                    vec![Instr::load_streaming(), Instr::alu_dep()],
-                    20,
-                )])),
-            }],
-        );
-        let program = k.invocations()[0].program.clone();
-        let period = 1_000_000;
-        let mut sm = Sm::new(0, &c);
-        let mut mem = MemSystem::new(&c);
-        sm.begin_invocation(&k, 0, program.clone());
-        let mut gwde = Gwde::new(8);
-        sm.fill(&mut gwde);
-        let mut now = 0;
-        // Stop on a cycle whose commit was refused, with misses in flight.
-        while sm.pending.is_none() || sm.mshr.len() < 2 {
-            now += period;
-            mem.step(now, VfLevel::Nominal, period);
-            sm.cycle(now, VfLevel::Nominal, period, &mut mem, &mut gwde);
-            sm.fill(&mut gwde);
-            assert!(sm.busy(), "kernel ended without back-pressure");
-        }
-
-        let mut w = crate::snapshot::Writer::new();
-        sm.encode_state(&mut w);
-        mem.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = crate::snapshot::Reader::new(&bytes);
-        let mut copy = Sm::new(0, &c);
-        copy.decode_state(&mut r, Some(program)).unwrap();
-        let mut copy_mem = MemSystem::decode(&c, &mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(copy.pending, sm.pending, "the held access is restored");
-        let mut copy_gwde = gwde.clone();
-
-        let a = finish_from(&mut sm, &mut mem, &mut gwde, now, period);
-        let b = finish_from(&mut copy, &mut copy_mem, &mut copy_gwde, now, period);
-        assert_eq!(a, b);
-        assert_eq!(sm.events(), copy.events());
-        assert_eq!(sm.run_counters(), copy.run_counters());
-        assert_eq!(sm.blocks_completed(), 8);
-        assert_eq!(copy.blocks_completed(), 8);
-    }
-
     #[test]
     fn epoch_counters_reset_on_take() {
         let c = cfg();
         let mut sm = Sm::new(0, &c);
         let mut mem = MemSystem::new(&c);
         let k = alu_kernel(4, 2, 50);
-        sm.begin_invocation(&k, 0, k.invocations()[0].program.clone());
+        sm.begin_invocation(&k, k.invocations()[0].program.clone());
         let mut gwde = Gwde::new(2);
         sm.fill(&mut gwde);
         for i in 1..=256u64 {

@@ -6,10 +6,7 @@
 //! pool: once warmed up, a primary miss allocates nothing and a response
 //! frees nothing. Removal swaps the last entry into the hole, so the
 //! array's order is arbitrary; only keyed lookups read the file, so that
-//! order never reaches a result. The snapshot form lists lines sorted,
-//! which keeps equal machines encoding to equal bytes.
-
-use crate::snapshot::{Reader, SnapshotError, Writer};
+//! order never reaches a result.
 
 /// The MSHR file of one SM (see the module docs).
 #[derive(Debug, Clone)]
@@ -96,59 +93,6 @@ impl MshrFile {
             self.pool.push(list);
         }
     }
-
-    /// Writes the entries sorted by line: `(line, waiters)` pairs behind
-    /// a count, the same bytes an address-ordered map would write.
-    pub(super) fn encode(&self, w: &mut Writer) {
-        let mut order: Vec<usize> = (0..self.lines.len()).collect();
-        order.sort_unstable_by_key(|&i| self.lines[i]);
-        w.usize(order.len());
-        for i in order {
-            w.u64(self.lines[i]);
-            w.usize(self.waiters[i].len());
-            for &s in &self.waiters[i] {
-                w.usize(s);
-            }
-        }
-    }
-
-    /// Replaces the file's contents with [`MshrFile::encode`] bytes.
-    /// Rejects more lines than the file holds, a line listed twice (it
-    /// would leave a phantom entry that no response ever frees) and
-    /// waiters outside the `max_warps` slots.
-    pub(super) fn decode(
-        &mut self,
-        r: &mut Reader<'_>,
-        max_warps: usize,
-    ) -> Result<(), SnapshotError> {
-        let corrupt = |offset: usize, what: &'static str| SnapshotError::Corrupt { offset, what };
-        let at = r.offset();
-        let n = r.seq_len(16)?;
-        if n > self.cap {
-            return Err(corrupt(at, "MSHR count overflows its capacity"));
-        }
-        self.clear();
-        for _ in 0..n {
-            let at = r.offset();
-            let line = r.u64()?;
-            if self.find(line).is_some() {
-                return Err(corrupt(at, "MSHR lists a line twice"));
-            }
-            let m = r.seq_len(8)?;
-            let mut list = self.pool.pop().unwrap_or_default();
-            for _ in 0..m {
-                let at = r.offset();
-                let s = r.usize()?;
-                if s >= max_warps {
-                    return Err(corrupt(at, "MSHR waiter references out-of-range warp slot"));
-                }
-                list.push(s);
-            }
-            self.lines.push(line);
-            self.waiters.push(list);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -170,62 +114,5 @@ mod tests {
         m.insert(9, 5);
         assert_eq!(m.waiters[1].as_ptr(), ptr, "the recycled list was reused");
         assert_eq!(m.remove(7), None);
-    }
-
-    #[test]
-    fn encoding_is_sorted_and_round_trips() {
-        let mut m = MshrFile::new(4);
-        for (line, ws) in [(30, 0), (10, 1), (20, 2)] {
-            m.insert(line, ws);
-        }
-        m.remove(10).into_iter().for_each(|l| m.recycle(l));
-        m.insert(10, 3);
-        let mut sorted = MshrFile::new(4);
-        for (line, ws) in [(10, 3), (20, 2), (30, 0)] {
-            sorted.insert(line, ws);
-        }
-        let (mut a, mut b) = (Writer::default(), Writer::default());
-        m.encode(&mut a);
-        sorted.encode(&mut b);
-        assert_eq!(
-            a.into_bytes(),
-            b.into_bytes(),
-            "insertion order is not encoded"
-        );
-
-        let mut w = Writer::default();
-        m.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut back = MshrFile::new(4);
-        back.decode(&mut Reader::new(&bytes), 8).unwrap();
-        for line in [10, 20, 30] {
-            assert_eq!(back.remove(line), m.remove(line));
-        }
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn decode_rejects_a_line_listed_twice() {
-        let mut w = Writer::default();
-        w.usize(2);
-        for ws in [0, 1] {
-            w.u64(0x40);
-            w.usize(1);
-            w.usize(ws);
-        }
-        let bytes = w.into_bytes();
-        let err = MshrFile::new(4)
-            .decode(&mut Reader::new(&bytes), 8)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SnapshotError::Corrupt {
-                    what: "MSHR lists a line twice",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
     }
 }

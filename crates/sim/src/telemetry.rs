@@ -3,8 +3,8 @@
 //! [`BatchWindowStats`] breaks down the engine's fused stall windows:
 //! how many opened, their size distribution, what bounded each window,
 //! and why each per-tick fallback happened. It is **diagnostic only**: kept
-//! outside [`crate::stats::RunStats`] and outside the snapshot codec,
-//! so reading it never changes results. The counters are plain
+//! outside [`crate::stats::RunStats`], so reading it never changes
+//! results. The counters are plain
 //! integers recorded unconditionally — the cost is one enum match per
 //! SM step.
 
@@ -60,8 +60,8 @@ pub enum WindowBound {
 ///
 /// Replaces the bare `Engine::batched_ticks` count as the profiling
 /// surface (that accessor remains, and remains part of
-/// [`crate::stats::RunStats`]); everything here stays out of `RunStats`
-/// and out of snapshots. Deterministic — the counters are driven purely
+/// [`crate::stats::RunStats`]); everything here stays out of
+/// `RunStats`. Deterministic — the counters are driven purely
 /// by the engine's own proof attempts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchWindowStats {

@@ -1,5 +1,5 @@
-//! Small self-contained utilities: a deterministic RNG and geometric-mean
-//! helpers used throughout the simulator.
+//! Small self-contained utilities: a deterministic RNG, an identity hash
+//! ([`Fold`]) and geometric-mean helpers used throughout the simulator.
 //!
 //! The simulator deliberately does not depend on the `rand` crate for its
 //! core address generation so that simulation results are bit-reproducible
@@ -27,13 +27,6 @@ impl SplitMix64 {
     /// Creates a new generator from a seed.
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
-    }
-
-    /// The raw generator state, for snapshot serialization. Feeding it
-    /// back through [`SplitMix64::new`] reproduces this generator
-    /// exactly (the constructor stores the seed as the state verbatim).
-    pub(crate) fn state(&self) -> u64 {
-        self.state
     }
 
     /// Returns the next pseudo-random `u64`.
@@ -78,6 +71,49 @@ pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// An order-sensitive 64-bit fold built on [`mix64`].
+///
+/// Feed it a canonical field sequence and it produces a hash that
+/// depends on every value and its position. The harness result store
+/// builds its content-addressed `result_key` from it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fold {
+    h: u64,
+}
+
+impl Fold {
+    /// Starts a fold from a domain-separation tag.
+    pub fn new(tag: u64) -> Self {
+        Self { h: mix64(tag) }
+    }
+
+    /// Folds in one 64-bit value.
+    pub fn add(&mut self, v: u64) {
+        self.h = mix64(self.h.rotate_left(7) ^ v);
+    }
+
+    /// Folds in a byte string (length-prefixed, so `"ab" + "c"` and
+    /// `"a" + "bc"` hash differently).
+    pub fn add_bytes(&mut self, bytes: &[u8]) {
+        self.add(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut b = [0u8; 8];
+            b[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(b));
+        }
+    }
+
+    /// Folds in an `f64` as its bit pattern.
+    pub fn add_f64(&mut self, v: f64) {
+        self.add(v.to_bits());
+    }
+
+    /// The folded hash.
+    pub fn finish(self) -> u64 {
+        mix64(self.h)
+    }
 }
 
 /// Geometric mean of a sequence of strictly positive values.
@@ -162,5 +198,27 @@ mod tests {
     #[test]
     fn geomean_single() {
         assert!((geomean([3.5]).unwrap() - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fold_is_order_sensitive() {
+        let mut a = Fold::new(1);
+        a.add(1);
+        a.add(2);
+        let mut b = Fold::new(1);
+        b.add(2);
+        b.add(1);
+        assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fold_bytes_are_length_prefixed() {
+        let mut a = Fold::new(0);
+        a.add_bytes(b"ab");
+        a.add_bytes(b"c");
+        let mut b = Fold::new(0);
+        b.add_bytes(b"a");
+        b.add_bytes(b"bc");
+        assert_ne!(a.finish(), b.finish());
     }
 }

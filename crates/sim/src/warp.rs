@@ -87,51 +87,6 @@ impl Warp {
     }
 }
 
-pub(crate) fn put_warp(w: &mut crate::snapshot::Writer, warp: &Warp) {
-    let Warp {
-        slot,
-        uid,
-        block_slot,
-        block_index,
-        pc,
-        finished,
-        at_barrier,
-        ready_at,
-        pending_loads,
-        mem_counter,
-        stagger,
-    } = warp;
-    w.usize(*slot);
-    w.u64(*uid);
-    w.usize(*block_slot);
-    w.u64(*block_index);
-    crate::program::put_prog_counter(w, pc);
-    w.bool(*finished);
-    w.bool(*at_barrier);
-    w.u64(*ready_at);
-    w.u32(*pending_loads);
-    w.u64(*mem_counter);
-    w.u32(*stagger);
-}
-
-pub(crate) fn get_warp(
-    r: &mut crate::snapshot::Reader<'_>,
-) -> Result<Warp, crate::snapshot::SnapshotError> {
-    Ok(Warp {
-        slot: r.usize()?,
-        uid: r.u64()?,
-        block_slot: r.usize()?,
-        block_index: r.u64()?,
-        pc: crate::program::get_prog_counter(r)?,
-        finished: r.bool()?,
-        at_barrier: r.bool()?,
-        ready_at: r.u64()?,
-        pending_loads: r.u32()?,
-        mem_counter: r.u64()?,
-        stagger: r.u32()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,8 +13,10 @@
 //!   With no paths, analyzes the workspace's analysis universe; explicit
 //!   paths form one call-graph universe. Exits non-zero on error-severity
 //!   findings; warnings are advisory.
-//! * `cargo xtask ci` — the offline CI driver: release build, the test
-//!   suite, the `validate`-feature test suite, the lint pass,
+//! * `cargo xtask ci` — the offline CI driver and the whole pipeline:
+//!   release build, clippy with warnings denied
+//!   (`--workspace --all-targets`), the test suite, the
+//!   `validate`-feature test suite, the lint pass,
 //!   the effect-analysis pass (its JSON report lands in
 //!   `target/analyze-report.json`), a `sim-report` artifact smoke test,
 //!   the fast-forward gate (`sim-ffcheck`: bit-identical `RunStats`
@@ -227,10 +229,22 @@ fn run_step(cargo: &str, label: &str, args: &[&str]) -> bool {
 fn cmd_ci() -> i32 {
     let cargo = env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
 
-    // The test suite of every workspace crate runs twice: as is, and
-    // with the `validate` sanitizers armed.
+    // Clippy denies every warning across all targets. The test suite of
+    // every workspace crate then runs twice: as is, and with the
+    // `validate` sanitizers armed.
     let steps: &[(&str, &[&str])] = &[
         ("build", &["build", "--release"]),
+        (
+            "clippy",
+            &[
+                "clippy",
+                "--workspace",
+                "--all-targets",
+                "--",
+                "-D",
+                "warnings",
+            ],
+        ),
         ("test", &["test", "-q", "--workspace"]),
         (
             "test (validate)",

@@ -841,8 +841,8 @@ mod tests {
     fn qualified_calls_do_not_merge_across_types() {
         // `Snap::default()` targets a derived impl: no `default` def
         // with qual `Snap` exists, so the edge must NOT merge with
-        // `Pool::default`, whose body reaches `lock`. This is the
-        // exact chain behind the engine's pool/snapshot shapes.
+        // `Pool::default`, whose body reaches `lock`: a derived impl
+        // must not borrow the edges of a same-named hand-written one.
         let m = model_of(
             "struct Snap;\nstruct Pool;\nimpl Pool {\n    fn default() -> Pool { Pool::new() }\n    fn new() -> Pool { lock(); Pool }\n}\nfn lock() {}\nfn cycle_local() { let s = Snap::default(); use_it(s); }\nfn use_it(_: Snap) {}\n",
         );

@@ -19,6 +19,8 @@
 //! let _governor = DynCta::new();
 //! ```
 
+// Library code reports through return values, never the console.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

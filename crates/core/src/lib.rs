@@ -46,9 +46,26 @@
 //! # Ok::<(), equalizer_sim::gpu::SimError>(())
 //! ```
 
-// Compiler-enforced backstop for the `no-unwrap` lint rule: library
-// code in this crate must not contain panicking escape hatches.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The determinism and robustness policy (DESIGN.md §7). `clippy.toml`
+// beside this crate's manifest bans hash containers, interior
+// mutability, locks, the wall clock and environment reads; the deny
+// below makes each ban a hard error. Library code must not panic or
+// print; tests may.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -65,6 +65,10 @@ struct Run {
     wall: f64,
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the gate measures host wall time beside the simulated run"
+)]
 fn simulate(
     config: &GpuConfig,
     kernel: &KernelSpec,

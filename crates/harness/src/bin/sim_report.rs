@@ -88,6 +88,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a binary's `main` reads its command line"
+)]
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     match run(&args) {

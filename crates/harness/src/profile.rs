@@ -110,6 +110,10 @@ impl StepProfile {
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the engine.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "host timing is this function's output and never reaches the run"
+)]
 pub fn run_profiled(
     engine: &mut Engine<'_>,
     governor: &mut dyn Governor,

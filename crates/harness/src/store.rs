@@ -17,9 +17,14 @@
 //! Every [`Runner`](crate::Runner) memoizes its runs in its own store,
 //! shared by its clones.
 //!
-//! This module is in the strict lint universe (`cargo xtask lint`): no
-//! hash maps, no clocks, no panics — keys never depend on time or the
+//! No hash maps, clocks or environment reads (`crates/harness/clippy.toml`)
+//! and no panics (the deny below): keys never depend on time or the
 //! process, and eviction order is a pure function of the call history.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};

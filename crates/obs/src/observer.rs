@@ -199,9 +199,7 @@ impl MetricsObserver {
         };
         self.machine = Some(machine);
         for sm in 0..num_sms {
-            // Per-SM names are formatted, not literals, so the
-            // duplicate-literal lint intentionally does not see them;
-            // uniqueness comes from the SM index.
+            // Uniqueness of the per-SM names comes from the SM index.
             let ids = SmIds {
                 warp_active: r.register_gauge(format!("sm{sm}.warp.active.avg"), "warps")?,
                 issue_rate: r.register_gauge(format!("sm{sm}.issue.rate"), "warps/cycle")?,

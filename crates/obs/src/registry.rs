@@ -7,9 +7,10 @@
 //!   no hashing, so exports are byte-identical across runs;
 //! * lookups go through a [`BTreeMap`] name index, the workspace's
 //!   sanctioned ordered map;
-//! * registering the same name twice is an error (the `cargo xtask lint`
-//!   `no-dup-metric-name` rule additionally catches duplicate *literals*
-//!   at the call sites in this crate).
+//! * registering the same name twice is an error,
+//!   [`ObsError::DuplicateMetric`]; `tests/observability.rs` drives the
+//!   observer's whole catalog through a CCWS and a per-SM-VRM run to
+//!   prove no series collides.
 
 use std::collections::BTreeMap;
 

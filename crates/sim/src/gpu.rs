@@ -96,7 +96,7 @@ pub struct SimOptions {
     /// `tests/stats_digest.rs`). Values below 2 open no window and give
     /// the per-tick reference.
     pub max_batch_ticks: u64,
-    /// Event-driven fast-forward (DESIGN.md §13). On by default.
+    /// Event-driven fast-forward (DESIGN.md §12). On by default.
     ///
     /// When set, the engine opens fused windows (see
     /// [`SimOptions::max_batch_ticks`]; the memory system may be active

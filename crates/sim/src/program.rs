@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn streaming_addresses_never_repeat_within_warp() {
         let gen = AddressGen::new(128);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for counter in 0..1000 {
             let a = gen.line_addr(AddressPattern::Streaming, 0, 5, counter, 0);
             assert!(seen.insert(a), "streaming address repeated");
@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn working_set_covers_whole_footprint() {
         let gen = AddressGen::new(128);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for counter in 0..2000 {
             let a = gen.line_addr(AddressPattern::WorkingSet { lines: 16 }, 0, 0, counter, 0);
             seen.insert(a / 128);

@@ -46,8 +46,10 @@
 //!
 //! The whole stage is part of the *local* phase of the two-phase cycle:
 //! it reads and writes only this SM's warps, scoreboard and LSU queue,
-//! and leaves everything shared to the commit (enforced by the
-//! `local-phase-purity` analysis).
+//! and leaves everything shared to the commit. `Sm::cycle_local` gets
+//! no handle to shared mutable state, and the crate's `clippy.toml`
+//! bans the cells, locks and atomics that could smuggle one in
+//! (DESIGN.md §7).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

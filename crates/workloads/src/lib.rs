@@ -20,6 +20,8 @@
 //! assert_eq!(kmn.warps_per_block(), 8);
 //! ```
 
+// Library code reports through return values, never the console.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

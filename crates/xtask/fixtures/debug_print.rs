@@ -1,12 +1,14 @@
-//! Fixture: `no-debug-print` — stdout noise is banned in library code.
+//! Fixture: debug and console printing are banned in library code.
 
 /// Computes a checksum, noisily.
 pub fn checksum(xs: &[u8]) -> u32 {
     let mut acc = 0u32;
     for &x in xs {
-        dbg!(x); //~ no-debug-print
+        dbg!(x); //~ clippy::dbg_macro
         acc = acc.wrapping_add(u32::from(x));
     }
-    println!("acc = {acc}"); //~ no-debug-print
+    print!("acc = "); //~ clippy::print_stdout
+    println!("{acc}"); //~ clippy::print_stdout
+    eprintln!("done"); //~ clippy::print_stderr
     acc
 }

@@ -1,376 +1,185 @@
-//! Effect inference over the source model: each function gets a set of
-//! effects — shared-structure writes, interior mutability, randomness,
-//! wall-clock reads, I/O, unordered iteration, float accumulation —
-//! detected from its signature and body tokens, then propagated
-//! transitively along the (name-merged) call graph to a fixpoint.
+//! Side effects that would break replay, and what keeps each out of the
+//! SM local phase.
 //!
-//! The lattice is a finite powerset and propagation is monotone (a
-//! function's set only grows), so the fixpoint is reached in at most
-//! `|Effect| × |defs|` rounds; in practice two or three.
+//! Clippy bans the effects themselves in the strict crates
+//! (`clippy.toml`): interior mutability, locks and atomics, the wall
+//! clock, environment reads and hash-ordered containers. The one
+//! guarantee no lint states is structural: `Sm::cycle_local` receives
+//! no `&mut` handle to shared state. `Sm` owns none, so with that
+//! signature the borrow checker confines the local phase to its own SM.
+//! [`local_phase_violations`] checks the signature.
 
-use crate::model::{has_token, mut_ref_param_types, token_offsets, FnDef, Model};
+use std::path::PathBuf;
 
-/// One inferred effect. `SharedWrite*` are the two-phase contract's
-/// shared structures taken by `&mut`; the rest are determinism hazards
-/// the token scan can see.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effect {
-    /// Takes `&mut MemSystem` — writes the shared memory system.
-    SharedWriteMem,
-    /// Takes `&mut Gwde` — writes the shared block dispatcher.
-    SharedWriteGwde,
-    /// Takes `&mut RunStats` — writes the shared run statistics.
-    SharedWriteStats,
-    /// Mutates through `Cell`/`RefCell`/atomics/`Mutex::lock` — writes
-    /// invisible to `&`-reference signatures.
-    InteriorMut,
-    /// Ambient randomness (`thread_rng`, the `rand` crate).
-    Rng,
-    /// Wall-clock reads (`Instant::now`, `SystemTime`).
-    Time,
-    /// File or stream I/O.
-    Io,
-    /// Iterates a seeded-order container (`HashMap`/`HashSet`).
-    UnorderedIter,
-    /// Floating-point reduction (`sum`, `product`, `fold`) whose result
-    /// depends on operand order.
-    FloatAccum,
-}
+use crate::scan::scan;
 
-/// Every effect, in bit order.
-pub const ALL_EFFECTS: &[Effect] = &[
-    Effect::SharedWriteMem,
-    Effect::SharedWriteGwde,
-    Effect::SharedWriteStats,
-    Effect::InteriorMut,
-    Effect::Rng,
-    Effect::Time,
-    Effect::Io,
-    Effect::UnorderedIter,
-    Effect::FloatAccum,
-];
+/// The function whose signature [`local_phase_violations`] checks.
+pub const LOCAL_PHASE_ROOT: &str = "cycle_local";
 
-impl Effect {
-    fn bit(self) -> u16 {
-        match self {
-            Effect::SharedWriteMem => 1 << 0,
-            Effect::SharedWriteGwde => 1 << 1,
-            Effect::SharedWriteStats => 1 << 2,
-            Effect::InteriorMut => 1 << 3,
-            Effect::Rng => 1 << 4,
-            Effect::Time => 1 << 5,
-            Effect::Io => 1 << 6,
-            Effect::UnorderedIter => 1 << 7,
-            Effect::FloatAccum => 1 << 8,
+/// The parameters of a parameter list (the text between its
+/// parentheses) that take a `&mut` borrow of anything but `self`.
+pub fn shared_mut_params(params: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let (mut depth, mut start) = (0i32, 0usize);
+    let mut push = |param: &str| {
+        let param = param.trim();
+        let (name, ty) = param.split_once(':').unwrap_or((param, ""));
+        let name = name.trim();
+        if ty.replace(' ', "").contains("&mut") && name != "self" && name != "mut self" {
+            out.push(param.to_string());
         }
-    }
-
-    /// The display name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Effect::SharedWriteMem => "SharedWrite(MemSystem)",
-            Effect::SharedWriteGwde => "SharedWrite(Gwde)",
-            Effect::SharedWriteStats => "SharedWrite(Stats)",
-            Effect::InteriorMut => "InteriorMut",
-            Effect::Rng => "Rng",
-            Effect::Time => "Time",
-            Effect::Io => "Io",
-            Effect::UnorderedIter => "UnorderedIter",
-            Effect::FloatAccum => "FloatAccum",
-        }
-    }
-}
-
-/// A set of effects as a bitset — the points of the effect lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EffectSet(u16);
-
-impl EffectSet {
-    /// The empty (pure) set.
-    pub const EMPTY: EffectSet = EffectSet(0);
-
-    /// Inserts one effect.
-    pub fn insert(&mut self, e: Effect) {
-        self.0 |= e.bit();
-    }
-
-    /// True when `e` is in the set.
-    pub fn contains(self, e: Effect) -> bool {
-        self.0 & e.bit() != 0
-    }
-
-    /// Set union.
-    pub fn union(self, other: EffectSet) -> EffectSet {
-        EffectSet(self.0 | other.0)
-    }
-
-    /// True when the two sets share any effect.
-    pub fn intersects(self, other: EffectSet) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// True when no effect is present.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The effects present, in bit order.
-    pub fn iter(self) -> impl Iterator<Item = Effect> {
-        ALL_EFFECTS
-            .iter()
-            .copied()
-            .filter(move |e| self.contains(*e))
-    }
-
-    /// Comma-separated effect names for reports.
-    pub fn describe(self) -> String {
-        self.iter().map(Effect::name).collect::<Vec<_>>().join(", ")
-    }
-
-    /// The set holding every `SharedWrite*` effect.
-    pub fn shared_writes() -> EffectSet {
-        let mut s = EffectSet::EMPTY;
-        s.insert(Effect::SharedWriteMem);
-        s.insert(Effect::SharedWriteGwde);
-        s.insert(Effect::SharedWriteStats);
-        s
-    }
-}
-
-/// Why an effect was inferred: the token seen and where.
-#[derive(Debug, Clone)]
-pub struct Evidence {
-    /// The inferred effect.
-    pub effect: Effect,
-    /// 1-indexed line of the token in the original file.
-    pub line: usize,
-    /// The token or signature fragment that triggered the inference.
-    pub detail: String,
-}
-
-/// Shared types whose `&mut` parameters carry a `SharedWrite` effect.
-const SHARED_TYPES: &[(&str, Effect)] = &[
-    ("MemSystem", Effect::SharedWriteMem),
-    ("Gwde", Effect::SharedWriteGwde),
-    ("RunStats", Effect::SharedWriteStats),
-];
-
-/// Body tokens implying an effect, checked token-boundary aware on the
-/// stripped code view.
-const BODY_TOKENS: &[(&str, Effect)] = &[
-    (".borrow_mut(", Effect::InteriorMut),
-    (".lock(", Effect::InteriorMut),
-    ("fetch_add(", Effect::InteriorMut),
-    ("fetch_sub(", Effect::InteriorMut),
-    ("fetch_or(", Effect::InteriorMut),
-    ("fetch_and(", Effect::InteriorMut),
-    ("fetch_xor(", Effect::InteriorMut),
-    ("compare_exchange", Effect::InteriorMut),
-    ("thread_rng", Effect::Rng),
-    ("rand::", Effect::Rng),
-    ("from_entropy", Effect::Rng),
-    ("Instant::now", Effect::Time),
-    ("SystemTime", Effect::Time),
-    ("File::", Effect::Io),
-    ("fs::read", Effect::Io),
-    ("fs::write", Effect::Io),
-    ("io::stdin", Effect::Io),
-    ("io::stdout", Effect::Io),
-    ("println!", Effect::Io),
-    ("eprintln!", Effect::Io),
-    ("HashMap", Effect::UnorderedIter),
-    ("HashSet", Effect::UnorderedIter),
-    ("sum::<f32>", Effect::FloatAccum),
-    ("sum::<f64>", Effect::FloatAccum),
-    ("product::<f32>", Effect::FloatAccum),
-    ("product::<f64>", Effect::FloatAccum),
-    ("fold(0.0", Effect::FloatAccum),
-    ("fold(0f32", Effect::FloatAccum),
-    ("fold(0f64", Effect::FloatAccum),
-];
-
-/// The 1-indexed source line of byte offset `at` inside `def`'s body.
-fn body_offset_line(def: &FnDef, at: usize) -> usize {
-    def.body_line + def.body[..at].chars().filter(|&c| c == '\n').count()
-}
-
-/// The effects a definition carries *itself* — from its own signature
-/// and body tokens, before call-graph propagation — with the evidence
-/// for each.
-pub fn intrinsic_effects(def: &FnDef) -> (EffectSet, Vec<Evidence>) {
-    let mut set = EffectSet::EMPTY;
-    let mut evidence = Vec::new();
-
-    for ty in mut_ref_param_types(&def.params) {
-        for &(token, effect) in SHARED_TYPES {
-            if has_token(&ty, token) {
-                set.insert(effect);
-                evidence.push(Evidence {
-                    effect,
-                    line: def.line,
-                    detail: format!("parameter `&mut {token}`"),
-                });
+    };
+    for (i, c) in params.char_indices() {
+        match c {
+            '(' | '[' | '<' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '>' if !params[..i].ends_with('-') => depth -= 1,
+            ',' if depth == 0 => {
+                push(&params[start..i]);
+                start = i + 1;
             }
+            _ => {}
         }
     }
-    // Unordered containers in the signature count too: a fn *handed* a
-    // HashMap will usually iterate it.
-    for token in ["HashMap", "HashSet"] {
-        if has_token(&def.params, token) {
-            set.insert(Effect::UnorderedIter);
-            evidence.push(Evidence {
-                effect: Effect::UnorderedIter,
-                line: def.line,
-                detail: format!("parameter of type `{token}`"),
-            });
-        }
-    }
-
-    for &(token, effect) in BODY_TOKENS {
-        if let Some(&at) = token_offsets(&def.body, token).first() {
-            set.insert(effect);
-            evidence.push(Evidence {
-                effect,
-                line: body_offset_line(def, at),
-                detail: format!("`{}`", token.trim_end_matches('(')),
-            });
-        }
-    }
-    (set, evidence)
+    push(&params[start..]);
+    out
 }
 
-/// Transitive effect sets, indexed like `model.defs`: each function's
-/// intrinsic effects unioned with the effects of everything it calls,
-/// iterated to a fixpoint over the call graph. Edges go through
-/// [`Model::resolve`], so qualified calls bind to their own impl and
-/// unqualified method calls merge by name.
-pub fn propagate(model: &Model, intrinsic: &[EffectSet]) -> Vec<EffectSet> {
-    let mut sets: Vec<EffectSet> = intrinsic.to_vec();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (idx, def) in model.defs.iter().enumerate() {
-            let mut next = sets[idx];
-            for callee in &def.calls {
-                for callee_idx in model.resolve(callee) {
-                    next = next.union(sets[callee_idx]);
+/// Every `&mut` parameter other than `self` of every non-test
+/// `fn cycle_local` in `files`, as `(file, 1-indexed line, parameter)`.
+pub fn local_phase_violations(files: &[(PathBuf, String)]) -> Vec<(PathBuf, usize, String)> {
+    let mut out = Vec::new();
+    let root = format!("fn {LOCAL_PHASE_ROOT}");
+    for (path, source) in files {
+        let lines = scan(source);
+        for (idx, line) in lines.iter().enumerate() {
+            let Some(at) = line.code.find(&root) else {
+                continue;
+            };
+            let after = &line.code[at + root.len()..];
+            if line.in_test || after.starts_with(|c: char| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            // The signature up to its body or `;`, code only.
+            let mut sig = after.to_string();
+            for next in &lines[idx + 1..] {
+                if sig.contains(['{', ';']) {
+                    break;
                 }
+                sig.push('\n');
+                sig.push_str(&next.code);
             }
-            if next != sets[idx] {
-                sets[idx] = next;
-                changed = true;
+            let Some((open, params)) = param_list(&sig) else {
+                continue;
+            };
+            for param in shared_mut_params(params) {
+                let offset = open + params.find(&param).unwrap_or(0);
+                let line_no = idx + sig[..offset].matches('\n').count() + 1;
+                out.push((path.clone(), line_no, param));
             }
         }
     }
-    sets
+    out
 }
 
-/// Intrinsic effects for every definition in the model, in def order,
-/// with per-def evidence.
-pub fn all_intrinsics(model: &Model) -> (Vec<EffectSet>, Vec<Vec<Evidence>>) {
-    let mut sets = Vec::with_capacity(model.defs.len());
-    let mut notes = Vec::with_capacity(model.defs.len());
-    for def in &model.defs {
-        let (set, evidence) = intrinsic_effects(def);
-        sets.push(set);
-        notes.push(evidence);
+/// The byte offset and text of a signature's parameter list (between
+/// its parentheses), skipping generics.
+fn param_list(sig: &str) -> Option<(usize, &str)> {
+    let mut angle = 0i32;
+    let open = sig.char_indices().find_map(|(i, c)| {
+        match c {
+            '<' => angle += 1,
+            '>' if !sig[..i].ends_with('-') => angle -= 1,
+            '(' if angle == 0 => return Some(i + 1),
+            _ => {}
+        }
+        None
+    })?;
+    let mut depth = 1i32;
+    for (i, c) in sig[open..].char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' if depth == 1 => return Some((open, &sig[open..open + i])),
+            ')' => depth -= 1,
+            _ => {}
+        }
     }
-    (sets, notes)
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::rules::strict_errors;
 
-    fn model_of(src: &str) -> Model {
-        Model::from_sources(&[(PathBuf::from("a.rs"), src.to_string())])
-    }
-
-    fn def_effects(model: &Model, name: &str) -> EffectSet {
-        let (sets, _) = all_intrinsics(model);
-        let idx = model.defs_named(name)[0];
-        sets[idx]
+    fn at(lint: &str, line: usize) -> (String, usize) {
+        (lint.to_string(), line)
     }
 
     #[test]
     fn shared_mut_params_are_shared_writes() {
-        let m = model_of(
-            "struct MemSystem;\nstruct Gwde;\nstruct RunStats;\nfn f(m: &mut MemSystem, g: &mut Gwde, s: &mut RunStats) {}\n",
+        let params = "&mut self, now: u64, mem: &mut MemSystem, gwde: & mut Gwde";
+        assert_eq!(
+            shared_mut_params(params),
+            ["mem: &mut MemSystem", "gwde: & mut Gwde"]
         );
-        let e = def_effects(&m, "f");
-        assert!(e.contains(Effect::SharedWriteMem));
-        assert!(e.contains(Effect::SharedWriteGwde));
-        assert!(e.contains(Effect::SharedWriteStats));
+        let nested = "f: impl FnMut(&mut Gwde) -> u32, xs: Vec<&mut u32>";
+        assert_eq!(shared_mut_params(nested).len(), 2);
     }
 
     #[test]
     fn shared_refs_and_mut_self_are_pure() {
-        let m = model_of(
-            "struct MemSystem;\nfn f(mem: &MemSystem) {}\nimpl S { fn g(&mut self) {} }\n",
-        );
-        assert!(def_effects(&m, "f").is_empty());
-        assert!(def_effects(&m, "g").is_empty());
-    }
-
-    #[test]
-    fn interior_mutability_detected_with_line() {
-        let m = model_of("fn f(c: &C) {\n    let x = 1;\n    *c.inner.borrow_mut() += x;\n}\n");
-        let (sets, notes) = all_intrinsics(&m);
-        assert!(sets[0].contains(Effect::InteriorMut));
-        let ev = notes[0]
-            .iter()
-            .find(|e| e.effect == Effect::InteriorMut)
-            .expect("evidence");
-        assert_eq!(ev.line, 3);
+        let params = "&mut self, mem: &MemSystem, xs: &[u32], mut n: u32, f: impl Fn() -> u32";
+        assert!(shared_mut_params(params).is_empty());
+        assert!(shared_mut_params("mut self").is_empty());
+        assert!(shared_mut_params("").is_empty());
     }
 
     #[test]
     fn rng_time_io_detected() {
-        let m = model_of(
-            "fn r() { let x = thread_rng(); }\nfn t() { let x = Instant::now(); }\nfn o() { let x = fs::read(p); }\n",
-        );
-        assert!(def_effects(&m, "r").contains(Effect::Rng));
-        assert!(def_effects(&m, "t").contains(Effect::Time));
-        assert!(def_effects(&m, "o").contains(Effect::Io));
+        let src = "\
+pub use std::time::{Instant, SystemTime};
+pub fn stamp() -> u128 {
+    Instant::now().elapsed().as_nanos()
+}
+pub fn home() -> Option<String> {
+    std::env::var(\"HOME\").ok()
+}
+pub fn seed() -> std::hash::RandomState {
+    std::hash::RandomState::new()
+}
+";
+        let found = strict_errors("rng_time_io", src);
+        let want = [
+            at("clippy::disallowed_methods", 3),
+            at("clippy::disallowed_methods", 6),
+            at("clippy::disallowed_types", 1),
+            at("clippy::disallowed_types", 8),
+            at("clippy::disallowed_types", 9),
+        ];
+        assert_eq!(found, want);
+    }
+
+    #[test]
+    fn interior_mutability_detected_with_line() {
+        let src = "\
+pub struct Sm {
+    pub id: u32,
+    pub log: std::cell::RefCell<Vec<u32>>,
+}
+";
+        let found = strict_errors("interior_mut_line", src);
+        assert_eq!(found, [at("clippy::disallowed_types", 3)]);
     }
 
     #[test]
     fn unordered_iter_and_float_accum_detected() {
-        let m = model_of(
-            "fn f(power: &HashMap<u32, f64>) -> f64 {\n    power.values().sum::<f64>()\n}\n",
-        );
-        let e = def_effects(&m, "f");
-        assert!(e.contains(Effect::UnorderedIter));
-        assert!(e.contains(Effect::FloatAccum));
-    }
-
-    #[test]
-    fn effects_propagate_transitively() {
-        let m = model_of(
-            "struct MemSystem;\nfn top() { mid(); }\nfn mid() { leaf(&mut MemSystem); }\nfn leaf(m: &mut MemSystem) {}\n",
-        );
-        let (intrinsic, _) = all_intrinsics(&m);
-        let sets = propagate(&m, &intrinsic);
-        let top = m.defs_named("top")[0];
-        assert!(sets[top].contains(Effect::SharedWriteMem));
-        let top_intrinsic = intrinsic[top];
-        assert!(top_intrinsic.is_empty(), "intrinsics stay local");
-    }
-
-    #[test]
-    fn propagation_handles_recursion() {
-        let m = model_of("fn a() { b(); }\nfn b() { a(); let x = thread_rng(); }\n");
-        let (intrinsic, _) = all_intrinsics(&m);
-        let sets = propagate(&m, &intrinsic);
-        assert!(sets[m.defs_named("a")[0]].contains(Effect::Rng));
-    }
-
-    #[test]
-    fn describe_lists_names() {
-        let mut s = EffectSet::EMPTY;
-        s.insert(Effect::Rng);
-        s.insert(Effect::FloatAccum);
-        assert_eq!(s.describe(), "Rng, FloatAccum");
+        let src = "\
+pub fn total(energy: &std::collections::HashMap<u32, f64>) -> f64 {
+    energy.values().sum()
+}
+";
+        let found = strict_errors("unordered_sum", src);
+        assert_eq!(found, [at("clippy::disallowed_types", 1)]);
     }
 }

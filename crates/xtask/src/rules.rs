@@ -1,836 +1,314 @@
-//! The effect-analysis rules built on [`crate::model`] and
-//! [`crate::effects`]: phase-discipline checks that *prove* the
-//! two-phase cycle contract instead of pattern-matching signatures.
-//!
-//! | rule                   | severity | what it flags |
-//! |------------------------|----------|---------------|
-//! | `local-phase-purity`   | error    | impure effects (shared writes, interior mutability, rng, time, io, unordered iteration) on any fn reachable from `cycle_local` |
-//! | `commit-only-mutation` | error    | a `SharedWrite` effect on a fn outside the `commit`/`cycle` call tree |
-//! | `lock-order`           | error    | a `Mutex`/`RwLock` (or any `.lock()` acquisition) reachable from the SM stepping hot path |
-//! | `float-accum-order`    | warning  | a float reduction in a fn that also iterates an unordered container |
-//!
-//! Findings honor the same `// lint: allow(<rule>) -- reason` escape
-//! hatch as the token linter, anchored at the flagged line.
+//! The strict crates' determinism policy as clippy enforces it, and the
+//! plumbing that checks it: compiling one file with `clippy-driver`
+//! under a crate's `clippy.toml` and reading back its error diagnostics.
 
-use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use crate::effects::{self, Effect, EffectSet};
-use crate::model::{self, FnDef, Model};
-use crate::scan::{self, Scanned};
-use crate::{classify, collect_rs_files, CodeKind, Suppression};
+/// Crates whose library code carries the determinism policy.
+pub const STRICT_CRATES: &[&str] = &["sim", "core", "power", "obs"];
 
-/// Every analyze rule, in reporting order.
-pub const ANALYZE_RULES: &[&str] = &[
-    "local-phase-purity",
-    "commit-only-mutation",
-    "lock-order",
-    "float-accum-order",
+/// Lints the strict crates deny: every one must be named in each strict
+/// crate's `lib.rs` or denied workspace-wide in the root `Cargo.toml`.
+/// The fixture check passes the same list to `clippy-driver`.
+pub const STRICT_DENY: &[&str] = &[
+    "clippy::disallowed_types",
+    "clippy::disallowed_methods",
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::print_stdout",
+    "clippy::print_stderr",
+    "clippy::dbg_macro",
+    "clippy::allow_attributes_without_reason",
 ];
 
-/// Crates whose library code forms the analysis universe. The harness
-/// is included for its result store: the lock-order rule must see the
-/// store's mutex and condvar to prove no lock is reachable from the
-/// simulator's stepping hot path.
-pub const ANALYZE_CRATES: &[&str] = &["sim", "core", "power", "baselines", "obs", "harness"];
+/// One error-level lint diagnostic: the lint, the 1-indexed line of its
+/// primary span, and its message.
+pub type Diagnostic = (String, usize, String);
 
-/// How bad a finding is: errors gate CI, warnings are advisory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails `cargo xtask analyze` and `cargo xtask ci`.
-    Error,
-    /// Reported but never fatal.
-    Warning,
+/// `clippy-driver` flags that compile a file as a strict-crate library:
+/// [`STRICT_DENY`] as `-D` flags, with warnings denied as CI does.
+pub fn strict_flags() -> Vec<&'static str> {
+    let mut flags = vec!["--crate-type=lib"];
+    for lint in STRICT_DENY {
+        flags.extend(["-D", lint]);
+    }
+    flags.extend(["-D", "warnings"]);
+    flags
 }
 
-impl Severity {
-    /// Lower-case label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
+/// The `(path, reason)` entries of a `clippy.toml`'s ban lists, in file
+/// order.
+pub fn banned_paths(clippy_toml: &str) -> Vec<(String, String)> {
+    let quoted = |line: &str, key: &str| {
+        let rest = &line[line.find(&format!("{key} = \""))? + key.len() + 4..];
+        Some(rest[..rest.find('"')?].to_string())
+    };
+    let entries = clippy_toml
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'));
+    entries
+        .filter_map(|l| Some((quoted(l, "path")?, quoted(l, "reason").unwrap_or_default())))
+        .collect()
 }
 
-/// One analysis finding.
-#[derive(Debug, Clone)]
-pub struct AnalysisFinding {
-    /// The rule that fired.
-    pub rule: &'static str,
-    /// Error or warning.
-    pub severity: Severity,
-    /// File the finding is in (workspace-relative when walking).
-    pub file: PathBuf,
-    /// 1-indexed line.
-    pub line: usize,
-    /// The function the finding is about, `Type::name`-qualified.
-    pub function: String,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-impl fmt::Display for AnalysisFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}: `{}` {}",
-            self.file.display(),
-            self.line,
-            self.rule,
-            self.severity.label(),
-            self.function,
-            self.message
-        )
-    }
-}
-
-/// The outcome of an analyze run.
-#[derive(Debug, Default)]
-pub struct AnalysisReport {
-    /// Findings, in file/line order.
-    pub findings: Vec<AnalysisFinding>,
-    /// Findings silenced by `lint: allow` escape hatches.
-    pub suppressed: Vec<Suppression>,
-    /// Number of `.rs` files in the analysis universe.
-    pub files_scanned: usize,
-}
-
-impl AnalysisReport {
-    /// True when no *error* finding survived — warnings and
-    /// suppressions are reported, not fatal.
-    pub fn is_clean(&self) -> bool {
-        !self.findings.iter().any(|f| f.severity == Severity::Error)
-    }
-
-    /// Error-severity findings.
-    pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    /// Warning-severity findings.
-    pub fn warnings(&self) -> usize {
-        self.findings.len() - self.errors()
-    }
-
-    /// The report as a small JSON document for machine consumers.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
-        out.push_str(&format!("\"clean\":{},", self.is_clean()));
-        out.push_str("\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":{},\"severity\":{},\"file\":{},\"line\":{},\"function\":{},\"message\":{}}}",
-                json_str(f.rule),
-                json_str(f.severity.label()),
-                json_str(&f.file.display().to_string()),
-                f.line,
-                json_str(&f.function),
-                json_str(&f.message),
-            ));
-        }
-        out.push_str("],\"suppressed\":[");
-        for (i, s) in self.suppressed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":{},\"file\":{},\"line\":{},\"reason\":{}}}",
-                json_str(s.rule),
-                json_str(&s.file.display().to_string()),
-                s.line,
-                json_str(&s.reason),
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// A JSON string literal with the minimal escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+/// The string value following `"key":"` in one JSON diagnostic line,
+/// with its escapes decoded.
+fn json_str(json: &str, key: &str) -> Option<String> {
+    let start = json.find(&format!("\"{key}\":\""))? + key.len() + 4;
+    let mut out = String::new();
+    let mut chars = json[start..].chars();
+    loop {
+        match chars.next()? {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                'n' => out.push('\n'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                other => out.push(other), // `\"`, `\\`, `\/`
+            },
             c => out.push(c),
         }
     }
-    out.push('"');
+}
+
+/// Error-level lint diagnostics from `clippy-driver --error-format=json`
+/// output. Only the top-level diagnostic is read: its `code`, `level`
+/// and `message` come before its spans and children.
+pub fn parse_diagnostics(json_lines: &str) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for line in json_lines.lines() {
+        // `"code":null` is the "aborting" summary.
+        let (Some(lint), Some("error")) =
+            (json_str(line, "code"), json_str(line, "level").as_deref())
+        else {
+            continue;
+        };
+        let line_no = line.find("\"is_primary\":true").and_then(|primary| {
+            let at = line[..primary].rfind("\"line_start\":")? + 13;
+            line[at..at + line[at..].find(',')?].parse().ok()
+        });
+        if let Some(line_no) = line_no {
+            let message = json_str(line, "message").unwrap_or_default();
+            out.push((lint, line_no, message));
+        }
+    }
     out
 }
 
-/// The local-phase root and the commit-phase roots of the two-phase
-/// cycle contract.
-const LOCAL_ROOT: &str = "cycle_local";
-const COMMIT_ROOTS: &[&str] = &["commit", "cycle"];
-/// Roots of the SM stepping hot path: the two cycle phases (and their
-/// fused form) and the engine's per-tick stepper. `lock-order` walks
-/// everything reachable from whichever of these the universe defines.
-const HOT_PATH_ROOTS: &[&str] = &["cycle_local", "commit", "cycle", "step_running"];
-
-/// Effects that make a local-phase function impure. `FloatAccum` alone
-/// is excluded: an ordered float reduction is deterministic, and the
-/// unordered case is covered by `float-accum-order`.
-fn impure_for_local_phase() -> EffectSet {
-    let mut s = EffectSet::shared_writes();
-    s.insert(Effect::InteriorMut);
-    s.insert(Effect::Rng);
-    s.insert(Effect::Time);
-    s.insert(Effect::Io);
-    s.insert(Effect::UnorderedIter);
-    s
+/// The `clippy-driver` of the toolchain running this process: next to
+/// `$CARGO` when cargo launched us, otherwise the one on `PATH`.
+fn clippy_driver() -> PathBuf {
+    std::env::var_os("CARGO")
+        .and_then(|cargo| Some(Path::new(&cargo).parent()?.join("clippy-driver")))
+        .filter(|driver| driver.is_file())
+        .unwrap_or_else(|| PathBuf::from("clippy-driver"))
 }
 
-/// `local-phase-purity`: every function reachable from a `cycle_local`
-/// definition must be free of impure intrinsic effects. Findings
-/// anchor at the offending definition, where the effect originates.
-fn rule_local_phase_purity(
-    model: &Model,
-    intrinsic: &[EffectSet],
-    notes: &[Vec<effects::Evidence>],
-    out: &mut Vec<AnalysisFinding>,
-) {
-    if !model.defines(LOCAL_ROOT) {
-        return;
-    }
-    let reach = model.reachable_defs(&[LOCAL_ROOT]);
-    let impure = impure_for_local_phase();
-    for (idx, def) in model.defs.iter().enumerate() {
-        if !reach.contains(&idx) {
-            continue;
-        }
-        let bad = EffectSet::iter(intrinsic[idx])
-            .filter(|e| {
-                let mut solo = EffectSet::EMPTY;
-                solo.insert(*e);
-                solo.intersects(impure)
-            })
-            .collect::<Vec<_>>();
-        if bad.is_empty() {
-            continue;
-        }
-        let detail = notes[idx]
-            .iter()
-            .find(|ev| bad.contains(&ev.effect))
-            .map(|ev| format!(" ({} at line {})", ev.detail, ev.line))
-            .unwrap_or_default();
-        let names = bad.iter().map(|e| e.name()).collect::<Vec<_>>().join(", ");
-        out.push(AnalysisFinding {
-            rule: "local-phase-purity",
-            severity: Severity::Error,
-            file: model.files[def.file].clone(),
-            line: def.line,
-            function: def.display_name(),
-            message: format!(
-                "is reachable from `{LOCAL_ROOT}` but carries {names}{detail}; \
-                 the local phase must not touch shared or ambient state"
-            ),
-        });
-    }
+/// Compiles `file` with `clippy-driver` under `conf_dir`'s `clippy.toml`
+/// and `flags`, writing only metadata into `out_dir`, and returns its
+/// error-level lint diagnostics.
+pub fn clippy_errors(
+    file: &Path,
+    conf_dir: &Path,
+    out_dir: &Path,
+    flags: &[&str],
+) -> Result<Vec<Diagnostic>, String> {
+    let out = Command::new(clippy_driver())
+        .env("CLIPPY_CONF_DIR", conf_dir)
+        .args(["--edition=2021", "--emit=metadata", "--error-format=json"])
+        .arg("--out-dir")
+        .arg(out_dir)
+        .arg(file)
+        .args(flags)
+        .output()
+        .map_err(|e| {
+            let driver = clippy_driver();
+            format!(
+                "could not run {}: {e} (is clippy installed?)",
+                driver.display()
+            )
+        })?;
+    Ok(parse_diagnostics(&String::from_utf8_lossy(&out.stderr)))
 }
 
-/// `commit-only-mutation`: only the commit-phase call tree (everything
-/// reachable from `commit`/`cycle`) may carry a `SharedWrite` effect.
-/// Inert unless the universe defines both phases, so single-purpose
-/// files don't misfire.
-fn rule_commit_only_mutation(
-    model: &Model,
-    intrinsic: &[EffectSet],
-    out: &mut Vec<AnalysisFinding>,
-) {
-    if !model.defines(LOCAL_ROOT) || !COMMIT_ROOTS.iter().any(|r| model.defines(r)) {
-        return;
-    }
-    let sanctioned = model.reachable_defs(COMMIT_ROOTS);
-    let shared = EffectSet::shared_writes();
-    for (idx, def) in model.defs.iter().enumerate() {
-        if !intrinsic[idx].intersects(shared) || sanctioned.contains(&idx) {
-            continue;
-        }
-        let names = intrinsic[idx]
-            .iter()
-            .filter(|e| {
-                let mut solo = EffectSet::EMPTY;
-                solo.insert(*e);
-                solo.intersects(shared)
-            })
-            .map(Effect::name)
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push(AnalysisFinding {
-            rule: "commit-only-mutation",
-            severity: Severity::Error,
-            file: model.files[def.file].clone(),
-            line: def.line,
-            function: def.display_name(),
-            message: format!(
-                "carries {names} but is not reachable from the commit phase \
-                 (`commit`/`cycle`); shared structures may only be mutated there"
-            ),
-        });
-    }
-}
-
-/// `lock-order`: "no locks on the SM hot path". The engine steps every
-/// SM on one thread and shared mutation happens only in the commit
-/// phase, so any `Mutex`/`RwLock` named (or `.lock()` acquired) in a
-/// function reachable from a hot-path root is pure overhead and hides
-/// shared state from the two-phase analysis. The walk is
-/// transitive over the call graph, so a lock three helpers deep is
-/// found.
-fn rule_lock_order(model: &Model, out: &mut Vec<AnalysisFinding>) {
-    let roots: Vec<&str> = HOT_PATH_ROOTS
-        .iter()
-        .copied()
-        .filter(|r| model.defines(r))
+/// Compiles `source` as `<name>.rs` under `crates/<conf_crate>`'s
+/// configuration and `flags`; returns the sorted `(lint, line)` errors.
+#[cfg(test)]
+pub(crate) fn snippet_errors(
+    name: &str,
+    source: &str,
+    conf_crate: &str,
+    flags: &[&str],
+) -> Vec<(String, usize)> {
+    let exe = std::env::current_exe().unwrap();
+    let dir = exe.parent().unwrap().join("xtask-snippets");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join(format!("{name}.rs"));
+    std::fs::write(&file, source).unwrap();
+    let conf = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../crates")
+        .join(conf_crate);
+    let mut found: Vec<(String, usize)> = clippy_errors(&file, &conf, &dir, flags)
+        .unwrap()
+        .into_iter()
+        .map(|d| (d.0, d.1))
         .collect();
-    if roots.is_empty() {
-        return;
-    }
-    let reach = model.reachable_defs(&roots);
-    for (idx, def) in model.defs.iter().enumerate() {
-        if !reach.contains(&idx) {
-            continue;
-        }
-        scan_lock_body(def, model, out);
-    }
+    found.sort();
+    found
 }
 
-/// Scans one hot-path function body for lock tokens: the `Mutex` /
-/// `RwLock` type names and `.lock()` acquisitions. (`.locked…` /
-/// `relock(...)`-style identifiers do not match; the same-line dedup in
-/// `analyze_prepared` collapses a declaration and an acquisition that
-/// share a line.)
-fn scan_lock_body(def: &FnDef, model: &Model, out: &mut Vec<AnalysisFinding>) {
-    let body = &def.body;
-    let mut hits: Vec<(usize, &'static str)> = Vec::new();
-    for ty in ["Mutex", "RwLock"] {
-        for at in model::token_offsets(body, ty) {
-            hits.push((at, ty));
-        }
-    }
-    let mut search = 0usize;
-    while let Some(pos) = body[search..].find(".lock") {
-        let at = search + pos;
-        search = at + 5;
-        if body[search..].trim_start().starts_with('(') {
-            hits.push((at, ".lock()"));
-        }
-    }
-    hits.sort_by_key(|&(at, _)| at);
-    for (at, what) in hits {
-        let line = def.body_line + body[..at].chars().filter(|&ch| ch == '\n').count();
-        out.push(AnalysisFinding {
-            rule: "lock-order",
-            severity: Severity::Error,
-            file: model.files[def.file].clone(),
-            line,
-            function: def.display_name(),
-            message: format!(
-                "uses `{what}` on the SM stepping hot path; the engine steps \
-                 every SM on one thread, so blocking locks are banned from \
-                 everything reachable from \
-                 `cycle_local`/`commit`/`cycle`/`step_running`"
-            ),
-        });
-    }
+/// [`snippet_errors`] under the strict configuration of `crates/sim`.
+#[cfg(test)]
+pub(crate) fn strict_errors(name: &str, source: &str) -> Vec<(String, usize)> {
+    snippet_errors(name, source, "sim", &strict_flags())
 }
-
-/// `float-accum-order`: a float reduction inside a function that also
-/// touches an unordered container is order-dependent — advisory, since
-/// the scan cannot see *which* iterator feeds the fold.
-fn rule_float_accum_order(
-    model: &Model,
-    intrinsic: &[EffectSet],
-    notes: &[Vec<effects::Evidence>],
-    out: &mut Vec<AnalysisFinding>,
-) {
-    for (idx, def) in model.defs.iter().enumerate() {
-        if !(intrinsic[idx].contains(Effect::FloatAccum)
-            && intrinsic[idx].contains(Effect::UnorderedIter))
-        {
-            continue;
-        }
-        let line = notes[idx]
-            .iter()
-            .find(|ev| ev.effect == Effect::FloatAccum)
-            .map(|ev| ev.line)
-            .unwrap_or(def.line);
-        out.push(AnalysisFinding {
-            rule: "float-accum-order",
-            severity: Severity::Warning,
-            file: model.files[def.file].clone(),
-            line,
-            function: def.display_name(),
-            message: "reduces floats in a function that also iterates an unordered \
-                      container; float addition is not associative, so the result \
-                      depends on iteration order — sort the keys or use a BTreeMap"
-                .to_string(),
-        });
-    }
-}
-
-/// Analyzes `sources` as one call-graph universe: scans each file once,
-/// builds the model, infers and propagates effects, runs every rule,
-/// and applies `lint: allow` escape hatches.
-pub fn analyze_sources(sources: &[(PathBuf, String)]) -> AnalysisReport {
-    let scanned: Vec<Scanned> = sources.iter().map(|(_, s)| scan::scan(s)).collect();
-    let views: Vec<(PathBuf, String)> = sources
-        .iter()
-        .zip(&scanned)
-        .map(|((p, _), sc)| (p.clone(), model::code_view(sc)))
-        .collect();
-    analyze_prepared(&views, &scanned)
-}
-
-/// The analyze pass over pre-scanned inputs — `views` are code views
-/// paired positionally with their `scanned` files, so a caller that
-/// already scanned (the single-scan lint driver) pays no second scan.
-pub(crate) fn analyze_prepared(views: &[(PathBuf, String)], scanned: &[Scanned]) -> AnalysisReport {
-    let model = Model::from_views(views);
-    let (intrinsic, notes) = effects::all_intrinsics(&model);
-
-    let mut findings = Vec::new();
-    rule_local_phase_purity(&model, &intrinsic, &notes, &mut findings);
-    rule_commit_only_mutation(&model, &intrinsic, &mut findings);
-    rule_lock_order(&model, &mut findings);
-    rule_float_accum_order(&model, &intrinsic, &notes, &mut findings);
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
-
-    let mut report = AnalysisReport {
-        files_scanned: views.len(),
-        ..AnalysisReport::default()
-    };
-    for finding in findings {
-        let allow = views
-            .iter()
-            .position(|(p, _)| *p == finding.file)
-            .and_then(|idx| scanned[idx].allow_for(finding.rule, finding.line))
-            .map(|a| a.reason.clone());
-        match allow {
-            Some(reason) => report.suppressed.push(Suppression {
-                rule: finding.rule,
-                file: finding.file,
-                line: finding.line,
-                reason,
-            }),
-            None => report.findings.push(finding),
-        }
-    }
-    report
-}
-
-/// Analyzes explicitly named files or directories as one universe.
-pub fn analyze_paths(paths: &[PathBuf]) -> io::Result<AnalysisReport> {
-    let mut files = Vec::new();
-    for path in paths {
-        if path.is_dir() {
-            collect_rs_files(path, false, &mut files)?;
-        } else {
-            files.push(path.clone());
-        }
-    }
-    files.sort();
-    let mut sources = Vec::with_capacity(files.len());
-    for path in files {
-        let source = std::fs::read_to_string(&path)?;
-        sources.push((path, source));
-    }
-    Ok(analyze_sources(&sources))
-}
-
-/// Analyzes the workspace rooted at `root`: the library code of every
-/// [`ANALYZE_CRATES`] member forms one combined universe, so the walk
-/// sees cross-crate calls (sim stepping into core helpers).
-pub fn analyze_workspace(root: &Path) -> io::Result<AnalysisReport> {
-    let mut sources: Vec<(PathBuf, String)> = Vec::new();
-    for krate in ANALYZE_CRATES {
-        let src_dir = root.join("crates").join(krate).join("src");
-        if !src_dir.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs_files(&src_dir, true, &mut files)?;
-        files.sort();
-        for path in files {
-            let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-            if classify(&rel).kind != CodeKind::Lib {
-                continue;
-            }
-            let source = std::fs::read_to_string(&path)?;
-            sources.push((rel, source));
-        }
-    }
-    Ok(analyze_sources(&sources))
-}
-
-/// Rationale, example violation and fix for every rule the tooling
-/// knows — the text behind `cargo xtask analyze --explain <rule>`.
-pub fn explain(rule: &str) -> Option<&'static str> {
-    EXPLANATIONS
-        .iter()
-        .find(|(name, _)| *name == rule)
-        .map(|(_, text)| *text)
-}
-
-const EXPLANATIONS: &[(&str, &str)] = &[
-    (
-        "local-phase-purity",
-        "local-phase-purity (error)\n\
-         \n\
-         Why: each SM cycle is a local phase (`Sm::cycle_local`, per-SM\n\
-         state only) followed by a commit, so cross-SM interaction resolves\n\
-         at one point, in the engine's rotated service order. Fused windows\n\
-         skip whole local phases, which is exact only if nothing reachable\n\
-         from one writes shared state or reads ambient state — including\n\
-         writes hidden behind RefCell/Mutex/atomics that no signature reveals. This rule infers effects per function and\n\
-         propagates them over the call graph (through `Self::` calls, UFCS,\n\
-         turbofish, closures), so a violation three helpers deep is found.\n\
-         \n\
-         Violation:\n\
-             fn cycle_local(&mut self) { self.helper(); }\n\
-             fn helper(&self) { *self.shared.borrow_mut() += 1; }  // flagged\n\
-         \n\
-         Fix: buffer the write in per-SM state during `cycle_local` and\n\
-         apply it in `Sm::commit`, or justify a provably-local case with\n\
-         `// lint: allow(local-phase-purity) -- <why it stays local>`.",
-    ),
-    (
-        "commit-only-mutation",
-        "commit-only-mutation (error)\n\
-         \n\
-         Why: the two-phase contract says shared structures (MemSystem,\n\
-         Gwde, RunStats) are mutated only in the serial commit phase. A\n\
-         `&mut MemSystem` parameter on a function outside the\n\
-         `commit`/`cycle` call tree is either dead code or a back door\n\
-         that a future caller will reach from the wrong phase.\n\
-         \n\
-         Violation:\n\
-             fn rogue_inject(mem: &mut MemSystem) { … }  // no caller in commit tree\n\
-         \n\
-         Fix: route the mutation through the commit tree (have `commit`\n\
-         call it), delete it, or annotate a deliberate exception with\n\
-         `// lint: allow(commit-only-mutation) -- <reason>`.",
-    ),
-    (
-        "lock-order",
-        "lock-order (error)\n\
-         \n\
-         Why: the engine steps every SM on one thread and mutates shared\n\
-         state only in the commit phase, so the SM stepping hot path —\n\
-         everything reachable from `cycle_local`, `commit`, `cycle` or\n\
-         `step_running` — needs no lock. A `Mutex`/`RwLock` (or any\n\
-         `.lock()` acquisition) on that path is pure overhead and hides\n\
-         shared state from the two-phase analysis.\n\
-         \n\
-         Violation:\n\
-             fn commit(&mut self, mem: &mut MemSystem) {\n\
-                 let _g = self.shared.lock();   // flagged\n\
-             }\n\
-         \n\
-         Fix: keep shared mutation in the commit phase, or justify a\n\
-         deliberate lock with\n\
-         `// lint: allow(lock-order) -- <why it cannot block>`.",
-    ),
-    (
-        "float-accum-order",
-        "float-accum-order (warning)\n\
-         \n\
-         Why: float addition is not associative, so `sum::<f64>()` over a\n\
-         HashMap's values depends on iteration order — which is seeded per\n\
-         process. The result differs run to run even with identical inputs.\n\
-         \n\
-         Violation:\n\
-             power.values().sum::<f64>()   // power: HashMap<u32, f64>\n\
-         \n\
-         Fix: iterate a BTreeMap, or sort keys before reducing. Advisory\n\
-         only: the scan cannot prove which iterator feeds the fold.",
-    ),
-    (
-        "no-std-hashmap",
-        "no-std-hashmap (lint): HashMap/HashSet iteration order is seeded\n\
-         per process, which breaks bit-identical replay. Use BTreeMap/BTreeSet.",
-    ),
-    (
-        "no-wallclock",
-        "no-wallclock (lint): Instant::now/SystemTime make replay depend on\n\
-         the host clock. Use the simulated Femtos timebase.",
-    ),
-    (
-        "no-extern-rand",
-        "no-extern-rand (lint): ambient randomness breaks replay. Use\n\
-         equalizer_sim::util::SplitMix64 seeded from SimConfig.",
-    ),
-    (
-        "no-env-read",
-        "no-env-read (lint): environment reads make runs machine-dependent.\n\
-         Thread configuration through SimConfig.",
-    ),
-    (
-        "no-unwrap",
-        "no-unwrap (lint): library code must not panic on bad input. Return\n\
-         a Result or handle the None arm.",
-    ),
-    (
-        "pub-docs",
-        "pub-docs (lint): public items in the documented crates need `///`\n\
-         doc comments.",
-    ),
-    (
-        "no-debug-print",
-        "no-debug-print (lint): dbg!/println! belong in binaries, not\n\
-         library code.",
-    ),
-    (
-        "no-dup-metric-name",
-        "no-dup-metric-name (lint): a metric name literal may be registered\n\
-         once per crate; the registry rejects duplicates at run time and\n\
-         this catches them at lint time.",
-    ),
-    (
-        "no-shared-mut-in-local-phase",
-        "no-shared-mut-in-local-phase (lint): the signature-level ancestor\n\
-         of local-phase-purity — flags `&mut MemSystem`/`&mut Gwde`\n\
-         parameters on functions reachable from `cycle_local`. The analyze\n\
-         rule supersedes it for interior mutability and ambient effects.",
-    ),
-    (
-        "tagged-todo",
-        "tagged-todo (lint): TODO/FIXME markers need an issue tag like\n\
-         `TODO(#7): …` so they stay actionable.",
-    ),
-    (
-        "malformed-allow",
-        "malformed-allow (lint): a `// lint: allow(<rules>) -- <reason>`\n\
-         escape hatch needs both a known rule list and a non-empty reason.",
-    ),
-];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn analyze(files: &[(&str, &str)]) -> AnalysisReport {
-        let sources: Vec<(PathBuf, String)> = files
-            .iter()
-            .map(|(p, s)| (PathBuf::from(p), (*s).to_string()))
-            .collect();
-        analyze_sources(&sources)
-    }
-
-    fn fired(report: &AnalysisReport) -> Vec<(&'static str, usize)> {
-        report.findings.iter().map(|f| (f.rule, f.line)).collect()
-    }
-
-    #[test]
-    fn purity_flags_interior_mut_through_helpers() {
-        let src = "\
-fn cycle_local(c: &C) {
-    stage(c);
-}
-fn stage(c: &C) {
-    *c.tally.borrow_mut() += 1;
-}
-";
-        let r = analyze(&[("a.rs", src)]);
-        assert_eq!(fired(&r), vec![("local-phase-purity", 4)]);
-    }
-
-    #[test]
-    fn purity_is_inert_without_a_root() {
-        let src = "fn stage(c: &C) { *c.tally.borrow_mut() += 1; }\n";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn purity_allow_suppresses() {
-        let src = "\
-fn cycle_local(c: &C) {
-    stage(c);
-}
-// lint: allow(local-phase-purity) -- per-SM cell, cannot race
-fn stage(c: &C) {
-    *c.tally.borrow_mut() += 1;
-}
-";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.suppressed.len(), 1);
-        assert_eq!(r.suppressed[0].rule, "local-phase-purity");
-    }
-
-    #[test]
-    fn commit_only_flags_rogue_writers() {
-        let src = "\
-struct MemSystem;
-fn cycle_local(_x: u32) {}
-fn commit(mem: &mut MemSystem) {
-    drain(mem);
-}
-fn drain(_mem: &mut MemSystem) {}
-fn rogue(_mem: &mut MemSystem) {}
-";
-        let r = analyze(&[("a.rs", src)]);
-        assert_eq!(fired(&r), vec![("commit-only-mutation", 7)]);
-    }
-
-    #[test]
-    fn commit_only_needs_both_phases() {
-        let src = "struct MemSystem;\nfn rogue(_mem: &mut MemSystem) {}\n";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn lock_order_flags_locks_reachable_from_the_hot_path() {
-        // The `.lock()` lives two calls deep from the per-tick stepper —
-        // only the transitive walk can see it.
-        let src = "\
-fn step_running(parts: &[P]) {
-    for p in parts {
-        service(p);
-    }
-}
-fn service(p: &P) {
-    let _g = p.cell.lock();
-}
-";
-        let r = analyze(&[("a.rs", src)]);
-        assert_eq!(fired(&r), vec![("lock-order", 7)]);
+    fn at(lint: &str, line: usize) -> (String, usize) {
+        (lint.to_string(), line)
     }
 
     #[test]
     fn lock_order_flags_mutex_types_on_the_hot_path() {
-        let src = "\
-fn step_running(n: u32) -> u32 {
-    let shared = Mutex::new(n);
-    shared.into_inner()
-}
-";
-        let r = analyze(&[("a.rs", src)]);
-        assert_eq!(fired(&r), vec![("lock-order", 2)]);
+        let src = "pub struct Hot {\n    pub queue: std::sync::Mutex<Vec<u32>>,\n}\n";
+        let found = strict_errors("lock_mutex_type", src);
+        assert_eq!(found, [at("clippy::disallowed_types", 2)]);
     }
 
     #[test]
-    fn lock_order_ignores_locks_off_the_hot_path() {
-        // An exporter may lock: it is not reachable from any hot-path
-        // root, so the discipline does not apply to it.
+    fn lock_order_flags_locks_reachable_from_the_hot_path() {
+        // A lock handed in by reference is still a use of the type.
         let src = "\
-fn commit(x: u32) -> u32 {
-    bump(x)
-}
-fn bump(x: u32) -> u32 {
-    x + 1
-}
-fn exporter(m: &M) {
-    let _g = m.lock();
+pub fn cycle_local(tally: &std::sync::RwLock<u64>) -> u64 {
+    tally.read().map(|g| *g).unwrap_or(0)
 }
 ";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn lock_order_is_inert_without_a_hot_path_root() {
-        let src = "fn exporter(m: &M) { let _g = m.lock(); }\n";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        let found = strict_errors("lock_reachable", src);
+        assert_eq!(found, [at("clippy::disallowed_types", 1)]);
     }
 
     #[test]
     fn lock_order_does_not_match_lock_like_identifiers() {
         let src = "\
-fn commit(c: &mut C) {
-    c.locked_out();
-    relock(c);
+pub fn lock_free(block: &[u64], clock: u64) -> u64 {
+    let unlocked = block.iter().sum::<u64>();
+    unlocked + clock
 }
-fn relock(_c: &mut C) {}
 ";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert_eq!(strict_errors("lock_like_names", src), []);
     }
 
     #[test]
     fn lock_order_allow_suppresses() {
         let src = "\
-fn commit(c: &C) {
-    // lint: allow(lock-order) -- metrics sink, never contended per tick
-    let _g = c.stats.lock();
+#[allow(clippy::disallowed_types, reason = \"host-side progress counter\")]
+pub fn guarded(n: u64) -> std::sync::Mutex<u64> {
+    std::sync::Mutex::new(n)
 }
 ";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.suppressed.len(), 1);
-        assert_eq!(r.suppressed[0].rule, "lock-order");
+        assert_eq!(strict_errors("lock_allowed", src), []);
     }
 
     #[test]
-    fn float_accum_is_a_warning_and_stays_clean() {
+    fn purity_flags_interior_mut_through_helpers() {
         let src = "\
-fn skew(power: &HashMap<u32, f64>) -> f64 {
-    power.values().sum::<f64>()
+pub fn cycle_local(x: u32) -> u32 {
+    bump(x)
+}
+fn bump(x: u32) -> u32 {
+    let slot = std::cell::Cell::new(x);
+    slot.set(x + 1);
+    slot.get()
 }
 ";
-        let r = analyze(&[("a.rs", src)]);
-        assert_eq!(fired(&r), vec![("float-accum-order", 2)]);
-        assert!(r.is_clean(), "warnings are not fatal");
-        assert_eq!(r.warnings(), 1);
-        assert_eq!(r.errors(), 0);
+        let found = strict_errors("purity_helper", src);
+        assert_eq!(found, [at("clippy::disallowed_types", 5)]);
+    }
+
+    #[test]
+    fn purity_allow_suppresses() {
+        let src = "\
+pub fn cycle_local(x: u32) -> u32 {
+    bump(x)
+}
+#[allow(clippy::disallowed_types, reason = \"scratch cell never escapes\")]
+fn bump(x: u32) -> u32 {
+    let slot = std::cell::Cell::new(x);
+    slot.set(x + 1);
+    slot.get()
+}
+";
+        assert_eq!(strict_errors("purity_allowed", src), []);
     }
 
     #[test]
     fn ordered_float_reduction_is_fine() {
-        let src = "fn total(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n";
-        let r = analyze(&[("a.rs", src)]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn json_report_shape() {
         let src = "\
-fn cycle_local(c: &C) {
-    *c.t.borrow_mut() += 1;
+pub fn total(energy: &std::collections::BTreeMap<u32, f64>) -> f64 {
+    energy.values().sum()
 }
 ";
-        let r = analyze(&[("a.rs", src)]);
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"rule\":\"local-phase-purity\""));
-        assert!(json.contains("\"severity\":\"error\""));
-        assert!(json.contains("\"clean\":false"));
-        assert!(json.contains("\"files_scanned\":1"));
+        assert_eq!(strict_errors("ordered_sum", src), []);
     }
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let json = r#"{"message":"a \"quoted\" \\ path\nnext `x`","code":{"code":"clippy::panic"},"level":"error","spans":[{"line_start":2,"is_primary":true}]}"#;
+        let want = "a \"quoted\" \\ path\nnext `x`".to_string();
+        assert_eq!(
+            parse_diagnostics(json),
+            [("clippy::panic".to_string(), 2, want)]
+        );
+    }
+
+    #[test]
+    fn json_report_shape() {
+        let json = concat!(
+            r#"{"message":"use of `println!`","code":{"code":"clippy::print_stdout"},"level":"error","spans":[{"line_start":3,"line_end":3,"is_primary":false},{"line_start":7,"line_end":7,"is_primary":true}]}"#,
+            "\n",
+            r#"{"message":"unused","code":{"code":"dead_code"},"level":"warning","spans":[{"line_start":1,"line_end":1,"is_primary":true}]}"#,
+            "\n",
+            r#"{"message":"aborting due to 1 previous error","code":null,"level":"error","spans":[]}"#,
+        );
+        let want = (
+            "clippy::print_stdout".to_string(),
+            7,
+            "use of `println!`".to_string(),
+        );
+        assert_eq!(parse_diagnostics(json), vec![want]);
     }
 
     #[test]
     fn explain_knows_every_rule() {
-        for rule in ANALYZE_RULES {
-            assert!(explain(rule).is_some(), "missing explanation for {rule}");
+        // Clippy prints a ban's reason as the note under its error.
+        let crates = STRICT_CRATES.iter().chain(&["harness"]);
+        for name in crates {
+            let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../{name}/clippy.toml"));
+            let toml = std::fs::read_to_string(&path).unwrap();
+            let bans = banned_paths(&toml);
+            assert!(!bans.is_empty(), "{} bans nothing", path.display());
+            for (ban, reason) in bans {
+                assert!(
+                    !reason.trim().is_empty(),
+                    "{ban} in {} has no reason",
+                    path.display()
+                );
+            }
         }
-        for rule in crate::RULES {
-            assert!(explain(rule).is_some(), "missing explanation for {rule}");
-        }
-        assert!(explain("no-unicorns").is_none());
+    }
+
+    #[test]
+    fn banned_paths_skip_comments() {
+        let toml = "# { path = \"a::B\" }\ndisallowed-types = [\n    { path = \"std::cell::Cell\", reason = \"x\" },\n]\n";
+        let want = ("std::cell::Cell".to_string(), "x".to_string());
+        assert_eq!(banned_paths(toml), vec![want]);
     }
 }

@@ -1,11 +1,13 @@
-//! Lexical source model for the linter: a line-oriented view of one Rust
-//! file with comments and string literals separated from code, `#[cfg(test)]`
-//! regions tracked, and `// lint: allow(...)` directives parsed.
+//! A line-oriented lexical view of one Rust file: comments and string
+//! literals split from code, and `#[cfg(test)]` regions tracked.
 //!
-//! This is a token scan, not a parse: it understands line/block comments
-//! (nested), plain and raw string literals, byte strings and char
-//! literals, which is enough to lint real-world Rust without a compiler
-//! front-end — and without any external crate.
+//! The two checks clippy cannot run need it. The to-do rule reads only
+//! comments, including every line of a block comment, and must not
+//! mistake a string literal that looks like one for a comment. The
+//! local-phase signature check reads only code outside tests. This is a
+//! token scan, not a parse: it knows line and (nested) block comments,
+//! plain, raw and byte strings and char literals, which is enough
+//! without a compiler front end.
 
 /// One line of a scanned file, split into views.
 #[derive(Debug, Clone, Default)]
@@ -14,61 +16,25 @@ pub struct Line {
     pub code: String,
     /// Concatenated comment text on the line (without `//` / `/*`).
     pub comment: String,
-    /// The line starts with (or is inside) a doc comment.
-    pub is_doc: bool,
     /// The line is inside (or opens) a `#[cfg(test)]` region.
     pub in_test: bool,
-}
-
-/// A parsed `// lint: allow(rule, ...) -- reason` directive.
-#[derive(Debug, Clone)]
-pub struct AllowDirective {
-    /// 1-indexed line the directive sits on.
-    pub line: usize,
-    /// Rules being suppressed.
-    pub rules: Vec<String>,
-    /// The mandatory justification after `--`.
-    pub reason: String,
-    /// The directive is missing its rule list or reason.
-    pub malformed: bool,
-}
-
-/// A scanned source file.
-#[derive(Debug, Default)]
-pub struct Scanned {
-    /// Per-line views, 0-indexed (line 1 is `lines[0]`).
-    pub lines: Vec<Line>,
-    /// All allow directives found in the file.
-    pub allows: Vec<AllowDirective>,
-}
-
-impl Scanned {
-    /// Returns the suppression reason if `rule` is allowed on 1-indexed
-    /// `line` — a directive covers its own line and the following line.
-    pub fn allow_for(&self, rule: &str, line: usize) -> Option<&AllowDirective> {
-        self.allows.iter().find(|a| {
-            !a.malformed
-                && (a.line == line || a.line + 1 == line)
-                && a.rules.iter().any(|r| r == rule)
-        })
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Code,
-    LineComment { doc: bool },
-    BlockComment { depth: usize, doc: bool },
+    LineComment,
+    BlockComment { depth: usize },
     Str,
     RawStr { hashes: usize },
 }
 
-/// Scans `source` into the lexical model.
-pub fn scan(source: &str) -> Scanned {
-    let mut out = Scanned::default();
+/// Scans `source` into per-line views; line 1 is element 0.
+pub fn scan(source: &str) -> Vec<Line> {
+    let mut out = Vec::new();
     let mut state = State::Code;
-    // Brace depth of enclosing `#[cfg(test)]` regions; entries are the
-    // depth *outside* the region's opening brace.
+    // Brace depth outside each enclosing `#[cfg(test)]` region's opening
+    // brace.
     let mut test_regions: Vec<usize> = Vec::new();
     let mut depth: usize = 0;
     // A `#[cfg(test)]` attribute was seen and its item not yet opened.
@@ -79,41 +45,26 @@ pub fn scan(source: &str) -> Scanned {
             in_test: !test_regions.is_empty(),
             ..Line::default()
         };
-        if matches!(state, State::LineComment { .. }) {
+        if state == State::LineComment {
             state = State::Code; // line comments end at the newline
         }
-        if let State::BlockComment { doc, .. } = state {
-            line.is_doc = doc;
-        }
-
-        let bytes: Vec<char> = raw.chars().collect();
+        let chars: Vec<char> = raw.chars().collect();
+        let blank = |code: &mut String, n: usize| code.extend(std::iter::repeat_n(' ', n));
         let mut i = 0usize;
-        while i < bytes.len() {
-            let c = bytes[i];
-            let next = bytes.get(i + 1).copied();
+        while i < chars.len() {
+            let c = chars[i];
+            let next = chars.get(i + 1).copied();
             match state {
                 State::Code => match c {
                     '/' if next == Some('/') => {
-                        let doc = matches!(bytes.get(i + 2), Some('/') | Some('!'))
-                            && bytes.get(i + 3) != Some(&'/');
-                        if doc {
-                            line.is_doc = true;
-                        }
-                        state = State::LineComment { doc };
+                        state = State::LineComment;
+                        blank(&mut line.code, 2);
                         i += 2;
-                        line.code.push(' ');
-                        line.code.push(' ');
                     }
                     '/' if next == Some('*') => {
-                        let doc = matches!(bytes.get(i + 2), Some('*') | Some('!'))
-                            && bytes.get(i + 3) != Some(&'/');
-                        if doc {
-                            line.is_doc = true;
-                        }
-                        state = State::BlockComment { depth: 1, doc };
+                        state = State::BlockComment { depth: 1 };
+                        blank(&mut line.code, 2);
                         i += 2;
-                        line.code.push(' ');
-                        line.code.push(' ');
                     }
                     '"' => {
                         state = State::Str;
@@ -123,30 +74,27 @@ pub fn scan(source: &str) -> Scanned {
                     'r' | 'b' => {
                         // Possible raw/byte string prefix: r", r#", br", b".
                         let mut j = i + 1;
-                        if c == 'b' && bytes.get(j) == Some(&'r') {
+                        if c == 'b' && chars.get(j) == Some(&'r') {
                             j += 1;
                         }
                         let mut hashes = 0usize;
-                        while bytes.get(j) == Some(&'#') {
+                        while chars.get(j) == Some(&'#') {
                             hashes += 1;
                             j += 1;
                         }
-                        let is_raw = (c == 'r' || bytes.get(i + 1) == Some(&'r'))
-                            && bytes.get(j) == Some(&'"');
+                        let is_raw = (c == 'r' || chars.get(i + 1) == Some(&'r'))
+                            && chars.get(j) == Some(&'"');
                         let is_plain_byte =
-                            c == 'b' && hashes == 0 && bytes.get(i + 1) == Some(&'"');
-                        // Only treat as a literal prefix at a token start.
+                            c == 'b' && hashes == 0 && chars.get(i + 1) == Some(&'"');
+                        // Only a literal prefix at a token start.
                         let boundary =
-                            i == 0 || !(bytes[i - 1].is_alphanumeric() || bytes[i - 1] == '_');
+                            i == 0 || !(chars[i - 1].is_alphanumeric() || chars[i - 1] == '_');
                         if boundary && is_raw {
-                            for _ in i..=j {
-                                line.code.push(' ');
-                            }
+                            blank(&mut line.code, j + 1 - i);
                             i = j + 1;
                             state = State::RawStr { hashes };
                         } else if boundary && is_plain_byte {
-                            line.code.push(' ');
-                            line.code.push('"');
+                            line.code.push_str(" \"");
                             i += 2;
                             state = State::Str;
                         } else {
@@ -155,22 +103,17 @@ pub fn scan(source: &str) -> Scanned {
                         }
                     }
                     '\'' => {
-                        // Char literal vs lifetime. A literal is 'x' or an
-                        // escape; anything else is a lifetime and stays in
-                        // the code view.
+                        // Char literal vs lifetime: a literal is 'x' or an
+                        // escape; anything else is a lifetime and stays.
                         if next == Some('\\') {
                             let mut j = i + 2;
-                            while j < bytes.len() && bytes[j] != '\'' {
+                            while j < chars.len() && chars[j] != '\'' {
                                 j += 1;
                             }
-                            for _ in i..=j.min(bytes.len() - 1) {
-                                line.code.push(' ');
-                            }
+                            blank(&mut line.code, j.min(chars.len() - 1) + 1 - i);
                             i = j + 1;
-                        } else if bytes.get(i + 2) == Some(&'\'') {
-                            line.code.push(' ');
-                            line.code.push(' ');
-                            line.code.push(' ');
+                        } else if chars.get(i + 2) == Some(&'\'') {
+                            blank(&mut line.code, 3);
                             i += 3;
                         } else {
                             line.code.push(c);
@@ -200,26 +143,23 @@ pub fn scan(source: &str) -> Scanned {
                         i += 1;
                     }
                 },
-                State::LineComment { .. } => {
+                State::LineComment => {
                     line.comment.push(c);
                     line.code.push(' ');
                     i += 1;
                 }
-                State::BlockComment { depth: d, doc } => {
+                State::BlockComment { depth: d } => {
                     if c == '*' && next == Some('/') {
-                        if d == 1 {
-                            state = State::Code;
-                        } else {
-                            state = State::BlockComment { depth: d - 1, doc };
-                        }
+                        state = match d {
+                            1 => State::Code,
+                            _ => State::BlockComment { depth: d - 1 },
+                        };
+                        blank(&mut line.code, 2);
                         i += 2;
-                        line.code.push(' ');
-                        line.code.push(' ');
                     } else if c == '/' && next == Some('*') {
-                        state = State::BlockComment { depth: d + 1, doc };
+                        state = State::BlockComment { depth: d + 1 };
+                        blank(&mut line.code, 2);
                         i += 2;
-                        line.code.push(' ');
-                        line.code.push(' ');
                     } else {
                         line.comment.push(c);
                         line.code.push(' ');
@@ -228,8 +168,7 @@ pub fn scan(source: &str) -> Scanned {
                 }
                 State::Str => {
                     if c == '\\' {
-                        line.code.push(' ');
-                        line.code.push(' ');
+                        blank(&mut line.code, 2);
                         i += 2;
                     } else if c == '"' {
                         line.code.push('"');
@@ -241,27 +180,12 @@ pub fn scan(source: &str) -> Scanned {
                     }
                 }
                 State::RawStr { hashes } => {
-                    if c == '"' {
-                        let mut ok = true;
-                        for k in 0..hashes {
-                            if bytes.get(i + 1 + k) != Some(&'#') {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        if ok {
-                            for _ in 0..=hashes {
-                                line.code.push(' ');
-                            }
-                            i += 1 + hashes;
-                            state = State::Code;
-                        } else {
-                            line.code.push(' ');
-                            i += 1;
-                        }
-                    } else {
-                        line.code.push(' ');
-                        i += 1;
+                    let closes = c == '"' && (1..=hashes).all(|k| chars.get(i + k) == Some(&'#'));
+                    let n = if closes { 1 + hashes } else { 1 };
+                    blank(&mut line.code, n);
+                    i += n;
+                    if closes {
+                        state = State::Code;
                     }
                 }
             }
@@ -275,67 +199,13 @@ pub fn scan(source: &str) -> Scanned {
             // The attribute applied to a braceless item (`use`, `const`):
             // the region never opens, so the flag ends with the item.
             line.in_test = true;
-            let t = line.code.trim_end();
-            if t.ends_with(';') && !line.code.contains('{') {
+            if line.code.trim_end().ends_with(';') && !line.code.contains('{') {
                 test_pending = false;
             }
         }
-
-        // Directives live in regular comments only; a doc comment that
-        // *describes* the syntax must not count as one.
-        if !line.is_doc {
-            if let Some(directive) = parse_allow(&line.comment, out.lines.len() + 1) {
-                out.allows.push(directive);
-            }
-        }
-        out.lines.push(line);
+        out.push(line);
     }
     out
-}
-
-/// Parses a `lint: allow(rule, ...) -- reason` directive from a line's
-/// comment text.
-fn parse_allow(comment: &str, line: usize) -> Option<AllowDirective> {
-    let idx = comment.find("lint: allow")?;
-    let rest = &comment[idx + "lint: allow".len()..];
-    let malformed = |d: AllowDirective| {
-        Some(AllowDirective {
-            malformed: true,
-            ..d
-        })
-    };
-    let empty = AllowDirective {
-        line,
-        rules: Vec::new(),
-        reason: String::new(),
-        malformed: false,
-    };
-    let Some(open) = rest.find('(') else {
-        return malformed(empty);
-    };
-    let Some(close) = rest.find(')') else {
-        return malformed(empty);
-    };
-    if open > close {
-        return malformed(empty);
-    }
-    let rules: Vec<String> = rest[open + 1..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    let tail = &rest[close + 1..];
-    let reason = tail
-        .find("--")
-        .map(|i| tail[i + 2..].trim().to_string())
-        .unwrap_or_default();
-    let malformed = rules.is_empty() || reason.is_empty();
-    Some(AllowDirective {
-        line,
-        rules,
-        reason,
-        malformed,
-    })
 }
 
 #[cfg(test)]
@@ -345,43 +215,40 @@ mod tests {
     #[test]
     fn strings_are_blanked() {
         let s = scan(r#"let x = "HashMap::new()";"#);
-        assert!(!s.lines[0].code.contains("HashMap"));
-        assert!(s.lines[0].code.contains("let x ="));
+        assert!(!s[0].code.contains("HashMap"));
+        assert!(s[0].code.contains("let x ="));
     }
 
     #[test]
     fn raw_strings_are_blanked() {
         let s = scan(r##"let x = r#"panic!("boom")"#; let y = 1;"##);
-        assert!(!s.lines[0].code.contains("panic"));
-        assert!(s.lines[0].code.contains("let y = 1;"));
+        assert!(!s[0].code.contains("panic"));
+        assert!(s[0].code.contains("let y = 1;"));
     }
 
     #[test]
     fn comments_split_from_code() {
         let s = scan("let a = 1; // trailing HashMap note");
-        assert!(!s.lines[0].code.contains("HashMap"));
-        assert!(s.lines[0].comment.contains("HashMap"));
+        assert!(!s[0].code.contains("HashMap"));
+        assert!(s[0].comment.contains("HashMap"));
     }
 
     #[test]
     fn block_comments_nest() {
-        let s = scan("/* outer /* inner */ still */ let b = 2;");
-        assert!(s.lines[0].code.contains("let b = 2;"));
-        assert!(!s.lines[0].code.contains("outer"));
-    }
-
-    #[test]
-    fn doc_comments_are_flagged() {
-        let s = scan("/// uses .unwrap() in an example\nfn f() {}");
-        assert!(s.lines[0].is_doc);
-        assert!(!s.lines[1].is_doc);
+        let s = scan("/* outer /* inner */ still */ let b = 2;\n/* a\n   b */ c();");
+        assert!(s[0].code.contains("let b = 2;"));
+        assert!(!s[0].code.contains("outer"));
+        assert!(s[0].comment.contains("still"));
+        // Every line of a multi-line block comment is comment text.
+        assert_eq!(s[2].comment.trim(), "b");
+        assert!(s[2].code.contains("c();"));
     }
 
     #[test]
     fn char_literals_and_lifetimes() {
         let s = scan("fn f<'a>(x: &'a str) { let c = '{'; }");
         // The brace inside the char literal must not affect depth.
-        let code = &s.lines[0].code;
+        let code = &s[0].code;
         assert!(code.contains("<'a>"), "lifetime kept: {code}");
         assert!(!code.contains("'{'"), "char literal blanked: {code}");
     }
@@ -389,47 +256,21 @@ mod tests {
     #[test]
     fn cfg_test_region_tracked() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn lib2() {}\n";
-        let s = scan(src);
-        assert!(!s.lines[0].in_test);
-        assert!(s.lines[1].in_test);
-        assert!(s.lines[2].in_test);
-        assert!(s.lines[3].in_test);
-        assert!(s.lines[4].in_test);
-        assert!(!s.lines[5].in_test);
+        let in_test: Vec<bool> = scan(src).iter().map(|l| l.in_test).collect();
+        assert_eq!(in_test, [false, true, true, true, true, false]);
     }
 
     #[test]
     fn cfg_not_test_is_not_a_region() {
         let s = scan("#[cfg(not(test))]\nfn f() {}\nfn g() {}\n");
-        assert!(!s.lines[1].in_test);
-        assert!(!s.lines[2].in_test);
+        assert!(!s[1].in_test);
+        assert!(!s[2].in_test);
     }
 
     #[test]
     fn braceless_cfg_test_item_ends_region() {
         let s = scan("#[cfg(test)]\nuse foo::bar;\nfn f() {}\n");
-        assert!(s.lines[1].in_test);
-        assert!(!s.lines[2].in_test);
-    }
-
-    #[test]
-    fn allow_directive_parsed() {
-        let s = scan("// lint: allow(no-unwrap, no-wallclock) -- fixture setup\nlet x = 1;");
-        assert_eq!(s.allows.len(), 1);
-        let a = &s.allows[0];
-        assert!(!a.malformed);
-        assert_eq!(a.rules, vec!["no-unwrap", "no-wallclock"]);
-        assert_eq!(a.reason, "fixture setup");
-        assert!(s.allow_for("no-unwrap", 1).is_some());
-        assert!(s.allow_for("no-unwrap", 2).is_some());
-        assert!(s.allow_for("no-unwrap", 3).is_none());
-        assert!(s.allow_for("pub-docs", 2).is_none());
-    }
-
-    #[test]
-    fn allow_without_reason_is_malformed() {
-        let s = scan("// lint: allow(no-unwrap)\nlet x = 1;");
-        assert!(s.allows[0].malformed);
-        assert!(s.allow_for("no-unwrap", 2).is_none());
+        assert!(s[1].in_test);
+        assert!(!s[2].in_test);
     }
 }

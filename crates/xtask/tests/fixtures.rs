@@ -1,164 +1,105 @@
-//! The lint fixtures: every rule must fire exactly where the `//~`
-//! markers say it does, a well-formed `lint: allow` must suppress, and
-//! the shipped workspace must come back clean.
+//! The fixtures prove the strict configuration: compiled with
+//! `clippy-driver` under `crates/sim/clippy.toml` and
+//! [`xtask::rules::STRICT_DENY`], each must error exactly on its `//~`
+//! markers, and together they must exercise every lint and every ban.
+//! The shipped workspace must pass the one rule clippy cannot run.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-fn fixtures_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures")
+fn manifest_dir() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
 fn workspace_root() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
+    manifest_dir().join("../..")
+}
+
+/// A scratch output directory of its own for each test, so parallel
+/// tests never write the same `.rmeta`.
+fn out_dir(test: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("fixtures-{test}"));
+    fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// `(rule, 1-indexed line)` pairs declared by `//~ <rule>` markers.
-fn expected_markers(source: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for (idx, line) in source.lines().enumerate() {
-        if let Some(pos) = line.find("//~") {
-            let rule = line[pos + 3..].trim().to_string();
-            assert!(!rule.is_empty(), "empty //~ marker on line {}", idx + 1);
-            out.push((rule, idx + 1));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Collects fixture `.rs` files recursively — the corpus mirrors the
-/// workspace's nested module-directory layout (e.g. `crates/sim/src/sm/`),
-/// so fixtures live in subdirectories too. The `analyze/` subtree is the
-/// effect-analysis corpus with its own marker protocol (see
-/// `tests/analyze.rs`) and is excluded from the lint sweep.
-fn collect_fixtures(dir: &PathBuf, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).expect("fixtures directory exists") {
-        let path = entry.expect("readable fixture entry").path();
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "analyze") {
-                continue;
-            }
-            collect_fixtures(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
 }
 
 #[test]
 fn every_fixture_fires_exactly_its_markers() {
-    let dir = fixtures_dir();
-    let mut checked = 0;
-    let mut entries: Vec<PathBuf> = Vec::new();
-    collect_fixtures(&dir, &mut entries);
-    entries.sort();
+    let fixtures = xtask::rs_files(&manifest_dir().join("fixtures"), &["todo"]).unwrap();
     assert!(
-        entries.len() >= 9,
-        "expected a fixture per rule, got {entries:?}"
+        fixtures.len() >= 7,
+        "expected a fixture per ban family: {fixtures:?}"
     );
-
-    for path in entries {
-        let source = fs::read_to_string(&path).expect("fixture is readable");
-        let expected = expected_markers(&source);
-        let report = xtask::lint_paths(std::slice::from_ref(&path)).expect("lint runs");
-        let mut actual: Vec<(String, usize)> = report
-            .findings
-            .iter()
-            .map(|f| (f.rule.to_string(), f.line))
-            .collect();
-        actual.sort();
-        assert_eq!(
-            actual,
-            expected,
-            "findings must match //~ markers in {}",
-            path.display()
-        );
-        checked += 1;
+    let out = out_dir("all");
+    if let Err(msg) = xtask::check_all_fixtures(&workspace_root(), &out) {
+        panic!("{msg}");
     }
-    assert!(checked >= 9, "checked only {checked} fixtures");
 }
 
 #[test]
 fn every_rule_has_a_firing_fixture() {
-    let report = xtask::lint_paths(&[fixtures_dir()]).expect("lint runs");
-    let fired: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-    for rule in xtask::RULES {
+    let mut marked = Vec::new();
+    for file in xtask::rs_files(&manifest_dir().join("fixtures"), &["todo"]).unwrap() {
+        let source = fs::read_to_string(file).unwrap();
+        marked.extend(xtask::expected_markers(&source).into_iter().map(|m| m.0));
+    }
+    for lint in xtask::rules::STRICT_DENY.iter().chain(&["missing_docs"]) {
         assert!(
-            fired.contains(rule),
-            "rule `{rule}` never fires on the fixture corpus"
+            marked.iter().any(|m| m == lint),
+            "no fixture marks `{lint}`"
         );
     }
 }
 
+/// The reasoned `#[allow]` in `hashmap.rs` covers a function that uses
+/// `HashSet` twice, and none of its lines errors.
 #[test]
 fn allow_fixture_suppresses_instead_of_firing() {
-    let path = fixtures_dir().join("allow_ok.rs");
-    let report = xtask::lint_paths(&[path]).expect("lint runs");
-    assert!(
-        report.is_clean(),
-        "unexpected findings: {:?}",
-        report.findings
-    );
-    assert_eq!(report.suppressed.len(), 1, "the allow must be counted");
-    assert_eq!(report.suppressed[0].rule, "no-unwrap");
-    assert!(!report.suppressed[0].reason.is_empty());
+    let fixture = manifest_dir().join("fixtures/hashmap.rs");
+    let source = fs::read_to_string(&fixture).unwrap();
+    let lines: Vec<&str> = source.lines().collect();
+    let allow = lines
+        .iter()
+        .position(|l| l.starts_with("#[allow(") && l.contains("reason = "))
+        .expect("hashmap.rs keeps a reasoned allow");
+    let end = allow + lines[allow..].iter().position(|l| *l == "}").unwrap();
+    let covered = (allow + 1)..=(end + 1);
+    assert!(lines[allow..end].iter().any(|l| l.contains("HashSet")));
+
+    let conf = workspace_root().join("crates/sim");
+    let errors = xtask::fixture_errors(&fixture, &conf, &out_dir("allow")).unwrap();
+    assert!(errors.iter().any(|e| e.0 == "clippy::disallowed_types"));
+    let inside: Vec<_> = errors.iter().filter(|e| covered.contains(&e.1)).collect();
+    assert!(inside.is_empty(), "the allow must suppress: {inside:?}");
 }
 
 #[test]
 fn nested_fixture_dir_is_scanned() {
-    let mut entries: Vec<PathBuf> = Vec::new();
-    collect_fixtures(&fixtures_dir(), &mut entries);
-    assert!(
-        entries
-            .iter()
-            .any(|p| p.parent().is_some_and(|d| d.ends_with("nested"))),
-        "the nested/ fixture directory must be collected: {entries:?}"
-    );
-}
-
-/// The workspace grew nested module directories under `src/` (the
-/// `crates/sim/src/sm/` split); classification must keep them under the
-/// full strict + docs rule set, and reserve `Bin` for `src/main.rs` and
-/// the `src/bin/` tree only.
-#[test]
-fn nested_module_dirs_classify_as_strict_lib() {
-    use xtask::CodeKind;
-    for path in [
-        "crates/sim/src/sm/mod.rs",
-        "crates/sim/src/sm/issue.rs",
-        "crates/sim/src/sm/exec.rs",
-        "crates/sim/src/sm/blocks.rs",
-        "crates/sim/src/engine.rs",
-    ] {
-        let ctx = xtask::classify(std::path::Path::new(path));
-        assert_eq!(ctx.kind, CodeKind::Lib, "{path}");
-        assert!(ctx.strict, "{path} keeps determinism rules");
-        assert!(ctx.docs_required, "{path} keeps pub-docs");
-    }
-    assert_eq!(
-        xtask::classify(std::path::Path::new("crates/bench/src/bin/figs.rs")).kind,
-        CodeKind::Bin
-    );
+    let dir = manifest_dir().join("fixtures");
+    let nested = dir.join("todo/untagged.rs");
+    assert!(xtask::rs_files(&dir, &[]).unwrap().contains(&nested));
+    assert!(!xtask::rs_files(&dir, &["todo"]).unwrap().contains(&nested));
 }
 
 #[test]
 fn shipped_workspace_is_lint_clean() {
-    let report = xtask::lint_workspace(&workspace_root()).expect("lint runs");
-    let mut message = String::new();
-    for finding in &report.findings {
-        message.push_str(&format!("\n  {finding}"));
+    let root = workspace_root();
+    let files = xtask::rs_files(&root, &["target", "fixtures"]).unwrap();
+    assert!(
+        files.len() > 40,
+        "workspace walk looks truncated: {files:?}"
+    );
+    let mut untagged = Vec::new();
+    for file in files {
+        let source = fs::read_to_string(&file).unwrap();
+        for (line, keyword) in xtask::untagged_todos(&source) {
+            let rel = file.strip_prefix(&root).unwrap_or(&file);
+            untagged.push(format!("{}:{line}: {keyword}", rel.display()));
+        }
     }
     assert!(
-        report.is_clean(),
-        "the shipped tree must pass `cargo xtask lint`:{message}"
-    );
-    assert!(
-        report.files_scanned > 40,
-        "workspace walk looks truncated: {} files",
-        report.files_scanned
+        untagged.is_empty(),
+        "to-do comments need an issue tag, e.g. `TODO(#123): ...`:\n{}",
+        untagged.join("\n")
     );
 }

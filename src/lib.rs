@@ -11,6 +11,9 @@
 //! * [`equalizer_baselines`] — DynCTA, CCWS and static VF points
 //! * [`equalizer_harness`] — experiment runner and figure generators
 
+// Library code reports through return values, never the console.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+
 pub use equalizer_baselines as baselines;
 pub use equalizer_core as core;
 pub use equalizer_harness as harness;

@@ -5,12 +5,17 @@
 //! 2. **Zero observer effect** — a run with observers attached produces
 //!    exactly the same [`RunStats`] as a bare run.
 
+use std::collections::BTreeSet;
+
+use equalizer_baselines::with_ccws;
 use equalizer_core::{Equalizer, Mode};
 use equalizer_harness::trace::JsonLinesTrace;
 use equalizer_obs::{chrome, csv, json, summary, MetricsObserver};
 use equalizer_power::PowerModel;
+use equalizer_sim::ccws::CcwsConfig;
 use equalizer_sim::config::GpuConfig;
 use equalizer_sim::engine::Engine;
+use equalizer_sim::governor::{Governor, StaticGovernor};
 use equalizer_sim::gpu::SimOptions;
 use equalizer_sim::stats::RunStats;
 use equalizer_workloads::kernel_by_name;
@@ -134,4 +139,55 @@ fn metrics_cover_the_paper_counters() {
     let last = instr.last().unwrap_or(0.0);
     assert!(last > 0.0);
     assert!(last <= stats.instructions() as f64);
+}
+
+/// The observer registers its whole catalog, machine-wide and per-SM
+/// series alike, on the first epoch, and the registry rejects a repeated
+/// name with `ObsError::DuplicateMetric`. A CCWS machine and a
+/// per-SM-VRM machine must both register every series exactly once.
+#[test]
+fn every_metric_name_registers_once() {
+    let mut small = GpuConfig::gtx480();
+    small.num_sms = 3;
+    let ccws = with_ccws(small.clone(), CcwsConfig::default());
+    let mut per_sm = small.clone();
+    per_sm.per_sm_vrm = true;
+    let runs: [(&str, GpuConfig, Box<dyn Governor>); 2] = [
+        ("kmn", ccws, Box::new(StaticGovernor)),
+        (
+            "mmer",
+            per_sm,
+            Box::new(Equalizer::new(Mode::Performance, small.num_sms).with_per_sm_vrm(true)),
+        ),
+    ];
+    for (name, config, mut governor) in runs {
+        let kernel = kernel_by_name(name).unwrap();
+        let mut obs = MetricsObserver::new(PowerModel::gtx480());
+        Engine::new(&config, &kernel, SimOptions::default())
+            .unwrap()
+            .with_observer(&mut obs)
+            .run(governor.as_mut())
+            .unwrap();
+        assert_eq!(obs.error(), None, "{name}");
+        let names: BTreeSet<&str> = obs
+            .registry()
+            .metrics()
+            .iter()
+            .map(|m| m.name.as_str())
+            .collect();
+        assert_eq!(
+            names.len(),
+            obs.registry().len(),
+            "{name}: names are unique"
+        );
+        let last_sm = format!("sm{}.vf.index", config.num_sms - 1);
+        assert!(
+            names.contains(last_sm.as_str()),
+            "{name}: per-SM series registered"
+        );
+        assert!(
+            names.contains("dram.bw_util.hist"),
+            "{name}: histograms registered"
+        );
+    }
 }

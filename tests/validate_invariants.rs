@@ -57,7 +57,7 @@ mod armed {
     /// workspace feature forwarding, not just exist on the umbrella.
     #[test]
     fn validate_feature_is_forwarded_to_the_simulator() {
-        assert!(equalizer_sim::VALIDATE_ENABLED);
+        const { assert!(equalizer_sim::VALIDATE_ENABLED) };
     }
 
     /// The energy sanitizer must reject statistics whose per-level

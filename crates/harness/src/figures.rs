@@ -1,8 +1,8 @@
 //! Data generators for every table and figure in the paper's evaluation.
 //!
 //! Each `figure*` function runs the required simulations (in parallel
-//! where independent) and returns typed rows; the bench targets in
-//! `equalizer-bench` render them. All relative numbers are against the
+//! where independent) and returns typed rows; the `regenerate` bench
+//! target in `equalizer-bench` renders them. All relative numbers are against the
 //! paper's baseline: the stock GTX 480 at nominal frequencies running
 //! maximum concurrent blocks.
 

@@ -66,22 +66,37 @@ pub fn fixture_errors(
     clippy_errors(fixture, conf_dir, out_dir, &flags)
 }
 
+/// What [`check_fixture`] found in one fixture.
+#[derive(Debug)]
+pub struct FixtureCheck {
+    /// Every error message the fixture produced, whether or not its
+    /// errors matched its markers.
+    pub messages: Vec<String>,
+    /// How its `(lint, line)` errors differ from its `//~` markers;
+    /// `None` when they are equal.
+    pub mismatch: Option<String>,
+}
+
 /// Checks that the `(lint, line)` errors of `fixture` under the strict
 /// configuration ([`fixture_errors`]) equal its `//~` markers; returns
-/// the error messages.
+/// its messages with any mismatch, or an error when clippy cannot run.
 pub fn check_fixture(
     fixture: &Path,
     conf_dir: &Path,
     out_dir: &Path,
-) -> Result<Vec<String>, String> {
+) -> Result<FixtureCheck, String> {
     let source = fs::read_to_string(fixture).map_err(|e| format!("{}: {e}", fixture.display()))?;
     let diagnostics = fixture_errors(fixture, conf_dir, out_dir)?;
     let mut actual: Vec<(String, usize)> = diagnostics.iter().map(|d| (d.0.clone(), d.1)).collect();
     actual.sort();
     actual.dedup();
     let expected = expected_markers(&source);
+    let messages = diagnostics.into_iter().map(|d| d.2).collect();
     if actual == expected {
-        return Ok(diagnostics.into_iter().map(|d| d.2).collect());
+        return Ok(FixtureCheck {
+            messages,
+            mismatch: None,
+        });
     }
     let mut msg = format!("{}: errors differ from the //~ markers", fixture.display());
     for (lint, line) in expected.iter().filter(|m| !actual.contains(m)) {
@@ -90,34 +105,60 @@ pub fn check_fixture(
     for (lint, line) in actual.iter().filter(|a| !expected.contains(a)) {
         msg += &format!("\n  line {line}: unexpected {lint}");
     }
-    Err(msg)
+    Ok(FixtureCheck {
+        messages,
+        mismatch: Some(msg),
+    })
+}
+
+/// The failures of a fixture run, in order: each fixture's error or
+/// marker mismatch, then each of `bans` (as [`banned_paths`] returns
+/// them) that no fixture's messages name. A mismatched fixture's
+/// messages count, so a ban that fires only there is not also reported
+/// as never firing.
+pub fn fixture_failures(
+    checks: &[Result<FixtureCheck, String>],
+    bans: &[(String, String)],
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut messages = Vec::new();
+    for check in checks {
+        match check {
+            Ok(c) => {
+                messages.extend(&c.messages);
+                failures.extend(c.mismatch.clone());
+            }
+            Err(msg) => failures.push(msg.clone()),
+        }
+    }
+    for (ban, _) in bans {
+        if !messages.iter().any(|m| m.contains(&format!("`{ban}`"))) {
+            failures.push(format!("ban `{ban}` never fires on the fixtures"));
+        }
+    }
+    failures
 }
 
 /// Checks every fixture under `root`'s `crates/xtask/fixtures` against
 /// the strict configuration in `crates/sim`, and that every ban in that
-/// `clippy.toml` fires on at least one fixture line. Returns a summary.
+/// `clippy.toml` fires on at least one fixture line
+/// ([`fixture_failures`]). Returns a summary.
 pub fn check_all_fixtures(root: &Path, out_dir: &Path) -> Result<String, String> {
     let conf_dir = root.join("crates/sim");
     let files =
         rs_files(&root.join("crates/xtask/fixtures"), &["todo"]).map_err(|e| e.to_string())?;
     let toml = fs::read_to_string(conf_dir.join("clippy.toml")).map_err(|e| e.to_string())?;
-    let (mut messages, mut failures) = (Vec::new(), Vec::new());
-    for file in &files {
-        match check_fixture(file, &conf_dir, out_dir) {
-            Ok(found) => messages.extend(found),
-            Err(msg) => failures.push(msg),
-        }
-    }
+    let checks: Vec<_> = files
+        .iter()
+        .map(|file| check_fixture(file, &conf_dir, out_dir))
+        .collect();
     let bans = banned_paths(&toml);
-    for (ban, _) in &bans {
-        if !messages.iter().any(|m| m.contains(&format!("`{ban}`"))) {
-            failures.push(format!("ban `{ban}` never fires on the fixtures"));
-        }
-    }
+    let failures = fixture_failures(&checks, &bans);
     if !failures.is_empty() {
         return Err(failures.join("\n"));
     }
-    let (f, b, e) = (files.len(), bans.len(), messages.len());
+    let e: usize = checks.iter().flatten().map(|c| c.messages.len()).sum();
+    let (f, b) = (files.len(), bans.len());
     Ok(format!(
         "{f} fixture(s), {b} ban(s), {e} error(s) as marked"
     ))
@@ -352,6 +393,33 @@ pub use std::cmp::Ordering;
         assert!(untagged_todos(src).is_empty(), "{:?}", untagged_todos(src));
         let empty_tag = concat!("x(); /* FIX", "ME() */");
         assert_eq!(untagged_todos(empty_tag), vec![(1, "FIXME")]);
+    }
+
+    #[test]
+    fn mismatched_fixture_still_counts_toward_bans() {
+        let ban = |path: &str| (path.to_string(), String::new());
+        let bans = [ban("std::collections::HashMap"), ban("std::sync::Mutex")];
+        let mismatch = "hashmap.rs: errors differ from the //~ markers".to_string();
+        let checks = [
+            Ok(FixtureCheck {
+                messages: vec!["use of a disallowed type `std::collections::HashMap`".into()],
+                mismatch: Some(mismatch.clone()),
+            }),
+            Err("wallclock.rs: clippy-driver failed".to_string()),
+        ];
+        assert_eq!(
+            fixture_failures(&checks, &bans),
+            [
+                mismatch,
+                "wallclock.rs: clippy-driver failed".to_string(),
+                "ban `std::sync::Mutex` never fires on the fixtures".to_string(),
+            ]
+        );
+        let clean = [Ok(FixtureCheck {
+            messages: vec!["`std::sync::Mutex` and `std::collections::HashMap`".into()],
+            mismatch: None,
+        })];
+        assert!(fixture_failures(&clean, &bans).is_empty());
     }
 
     #[test]

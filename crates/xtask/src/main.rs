@@ -9,7 +9,8 @@
 //!   the steps of `STEPS` in order: release build; clippy with
 //!   warnings denied, with default features and with `validate`; the
 //!   fixture check; the test suite and the `validate`-feature test
-//!   suite; a `sim-report` artifact smoke test; the fast-forward gate;
+//!   suite; a smoke test of the `regenerate` bench target (Table I); a
+//!   `sim-report` artifact smoke test; the fast-forward gate;
 //!   the benchmark golden check; and a formatting check (skipped with a
 //!   warning when rustfmt is absent). The determinism policy is clippy's
 //!   (DESIGN.md §7); the test suites hold the rest, including the
@@ -84,6 +85,13 @@ const STEPS: &[(&str, Step)] = &[
     (
         "test (validate)",
         Step::Cargo("test -q --workspace --features validate"),
+    ),
+    // Regeneration smoke test: Table I is pure decision logic, so this
+    // exercises the one bench target and its artifact selection in
+    // seconds.
+    (
+        "regenerate smoke",
+        Step::Cargo("bench -p equalizer-bench -- table1_actions"),
     ),
     // Observability smoke test: `--selfcheck` re-reads the written
     // bundle (the Perfetto trace must parse as JSON, the CSVs and summary

@@ -299,7 +299,7 @@ struct ModeFigure {
     columns: [&'static str; 6],
     /// Formats an energy ratio `E_run / E_base`.
     energy: fn(f64) -> String,
-    /// Adds the paper's "static best" savings column.
+    /// Adds the paper's "static best" savings column and its geomeans.
     static_best: bool,
     means: &'static str,
     /// Row labels of the geometric means: Equalizer, SM static, memory
@@ -324,15 +324,7 @@ fn mode_figure(runner: &Runner, fig: &ModeFigure) {
             row.extend([format!("{:.3}", c.speedup), (fig.energy)(c.energy_ratio)]);
         }
         if fig.static_best {
-            // "Static best": SM-low or Mem-low, whichever saves more
-            // energy while keeping performance above 0.95 (the paper's
-            // criterion).
-            let static_best = [r.sm_static, r.mem_static]
-                .into_iter()
-                .filter(|c| c.speedup >= 0.95)
-                .map(|c| 1.0 - c.energy_ratio)
-                .fold(0.0_f64, f64::max);
-            row.push(pct(static_best));
+            row.push(pct(1.0 - static_best(r).energy_ratio));
         }
         t.row(row);
     }
@@ -341,16 +333,35 @@ fn mode_figure(runner: &Runner, fig: &ModeFigure) {
     println!("{}", fig.means);
     type Accessor = fn(&ModeRow) -> Comparison;
     let accessors: [Accessor; 3] = [|r| r.equalizer, |r| r.sm_static, |r| r.mem_static];
-    for (label, f) in fig.labels.into_iter().zip(accessors) {
+    let mut means: Vec<(&str, Accessor)> = fig.labels.into_iter().zip(accessors).collect();
+    if fig.static_best {
+        means.push(("Static best", static_best));
+    }
+    for (label, f) in means {
         let s = summarise(&rows, f);
         let line: Vec<String> = s
             .groups
             .iter()
             .map(|(g, sp, er)| format!("{g}: {sp:.3}/{}", (fig.energy)(*er)))
             .collect();
-        println!("  {label:<10} {}", line.join("  "));
+        println!("  {label:<11} {}", line.join("  "));
     }
     println!("\n{}", fig.reference);
+}
+
+/// The paper's "static best" for one kernel: SM-low or Mem-low, whichever
+/// saves more energy at a performance of at least 0.95, or the baseline
+/// itself (no savings) when neither qualifies.
+fn static_best(r: &ModeRow) -> Comparison {
+    [r.sm_static, r.mem_static]
+        .into_iter()
+        .filter(|c| c.speedup >= 0.95 && c.energy_ratio < 1.0)
+        .min_by(|a, b| a.energy_ratio.total_cmp(&b.energy_ratio))
+        .unwrap_or(Comparison {
+            speedup: 1.0,
+            energy_ratio: 1.0,
+            efficiency: 1.0,
+        })
 }
 
 /// Figure 7: performance mode — per-kernel speedup and energy increase of
@@ -501,27 +512,33 @@ pub(crate) fn fig11_adaptive(runner: &Runner) {
 
     let tl = figure11b(runner).expect("simulation");
     title("Figure 11b: spmv concurrency over time, Equalizer vs DynCTA");
+    // Rows are epochs. Each run has its own length, so each series keeps
+    // its own time axis (percent of that run) and prints "-" once it has
+    // ended.
     let mut t = TextTable::new([
-        "time%",
+        "epoch",
+        "EQ time%",
         "EQ warps",
         "EQ waiting",
+        "DynCTA time%",
         "DynCTA warps",
         "DynCTA waiting",
     ]);
     let n = tl.equalizer.len().max(tl.dyncta.len());
     let step = (n / 32).max(1);
     for i in (0..n).step_by(step) {
-        let eq = tl
-            .equalizer
-            .get(i.min(tl.equalizer.len().saturating_sub(1)));
-        let dc = tl.dyncta.get(i.min(tl.dyncta.len().saturating_sub(1)));
-        t.row([
-            format!("{:.0}%", eq.or(dc).map_or(0.0, |p| p.0) * 100.0),
-            eq.map_or("-".into(), |p| format!("{:.1}", p.1)),
-            eq.map_or("-".into(), |p| format!("{:.1}", p.2)),
-            dc.map_or("-".into(), |p| format!("{:.1}", p.1)),
-            dc.map_or("-".into(), |p| format!("{:.1}", p.2)),
-        ]);
+        let mut row = vec![i.to_string()];
+        for series in [&tl.equalizer, &tl.dyncta] {
+            match series.get(i) {
+                Some(p) => row.extend([
+                    format!("{:.0}%", p.0 * 100.0),
+                    format!("{:.1}", p.1),
+                    format!("{:.1}", p.2),
+                ]),
+                None => row.extend(["-".to_string(), "-".to_string(), "-".to_string()]),
+            }
+        }
+        t.row(row);
     }
     println!("{t}");
     println!(

@@ -242,16 +242,18 @@ impl MetricsObserver {
         let n = sample.num_sms.max(1) as f64;
 
         // --- Warp-state occupancy (from the governor's epoch window).
+        // The record merges every SM's counters, samples included, so
+        // each mean is already per SM.
         let c = &record.counters;
         self.registry
-            .record(ids.warp_active, epoch, t, c.avg_active() / n);
+            .record(ids.warp_active, epoch, t, c.avg_active());
         self.registry
-            .record(ids.warp_waiting, epoch, t, c.avg_waiting() / n);
+            .record(ids.warp_waiting, epoch, t, c.avg_waiting());
         self.registry
-            .record(ids.warp_excess_alu, epoch, t, c.avg_excess_alu() / n);
+            .record(ids.warp_excess_alu, epoch, t, c.avg_excess_alu());
         self.registry
-            .record(ids.warp_excess_mem, epoch, t, c.avg_excess_mem() / n);
-        let issue_rate = c.avg_issued() / n;
+            .record(ids.warp_excess_mem, epoch, t, c.avg_excess_mem());
+        let issue_rate = c.avg_issued();
         self.registry.record(ids.issue_rate, epoch, t, issue_rate);
         // Histogram ids are constructed as histograms; a mismatch is
         // impossible, so the error arm only records it.

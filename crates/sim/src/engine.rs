@@ -22,13 +22,11 @@
 //! read state. `tests/engine_stepping.rs` pins this property.
 //!
 //! The engine owns its SMs in a plain `Vec` and steps all of them on
-//! the calling thread. Each SM tick is split into a *local* phase
-//! ([`Sm::cycle_local`]) that touches only per-SM state and a *commit*
-//! phase ([`Sm::commit`]) where interconnect arbitration, back-pressure
-//! and GWDE dispatch are resolved. Per-tick steps run whole
-//! ([`Sm::cycle`]: drain, local phase, commit) in a rotated service
-//! order. The per-tick step is the fast path: every tick takes it
-//! unless the engine can prove a *fused* window.
+//! the calling thread. A per-tick step runs each due SM's
+//! [`Sm::cycle`] in a rotated service order, so interconnect
+//! arbitration, back-pressure and GWDE dispatch resolve in that order.
+//! The per-tick step is the fast path: every tick takes it unless the
+//! engine can prove a *fused* window.
 //!
 //! A fused window covers `w >= 2` SM cycles in which every awake warp
 //! on every SM is provably stalled: asleep on an outstanding load, or
@@ -729,9 +727,9 @@ impl<'o> Engine<'o> {
             }
         }
 
-        // Each due SM runs its whole cycle — inbox drain, local phase,
-        // commit — in service order, so interconnect arbitration,
-        // back-pressure and GWDE dispatch resolve in that order.
+        // Each due SM runs its cycle in service order, so interconnect
+        // arbitration, back-pressure and GWDE dispatch resolve in that
+        // order.
         if self.config.per_sm_vrm {
             for i in (start..n).chain(0..start) {
                 let clock = &mut self.sm_clocks[i];
@@ -846,7 +844,7 @@ impl<'o> Engine<'o> {
     /// - the machine can open windows at all (`windows_enabled`): a
     ///   shared VRM, `max_batch_ticks >= 2`, [`SimOptions::fast_forward`]
     ///   on and no CCWS, whose issue-mask refresh runs on a cycle cadence
-    ///   inside [`Sm::cycle_local`] that a fused window would skip;
+    ///   inside [`Sm::cycle`] that a fused window would skip;
     /// - no VF transition pending on either domain (periods are frozen,
     ///   so every in-window tick time is known up front);
     /// - the window ends strictly before the next epoch boundary and

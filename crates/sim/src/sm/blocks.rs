@@ -71,10 +71,9 @@ impl Sm {
     /// Unpauses blocks and fetches new ones from the GWDE until the SM
     /// meets its concurrency target (or runs out of work/slots).
     ///
-    /// Takes the shared dispatcher mutably, so it belongs to the serial
-    /// *commit* phase of the two-phase cycle: the engine calls it (via
-    /// [`Sm::commit`] or at epoch/invocation boundaries) in service
-    /// order, never from the parallel local phase.
+    /// Takes the shared dispatcher mutably: the engine calls it (via
+    /// [`Sm::cycle`] or at epoch/invocation boundaries) in service
+    /// order, so block dispatch resolves in one deterministic order.
     pub fn fill(&mut self, gwde: &mut Gwde) {
         while self.active_blocks() < self.target_blocks {
             // Prefer resuming a paused block (paper §IV-B: no new GWDE

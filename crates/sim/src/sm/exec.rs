@@ -1,19 +1,18 @@
-//! Execution pipelines: memory-response delivery and the LD/ST unit,
-//! split along the two-phase cycle boundary.
+//! Execution pipelines: memory-response delivery and the LD/ST unit.
 //!
-//! The respond stage delivers pre-drained interconnect responses (the
-//! engine fills the SM's inbox serially) and matured local L1 hits back
-//! into waiting warps. The LSU handles one cache-line access per cycle,
-//! head-of-line: accesses that resolve against SM-private state (MSHR
-//! merges, L1 hits) complete in the local phase, while accesses that
-//! need the shared interconnect/texture queues are classified into a
-//! [`super::PendingAccess`] and resolved in the serial commit phase,
-//! where `can_accept` back-pressure is arbitrated in service order.
+//! The respond stage delivers the interconnect responses drained into
+//! the SM's inbox and matured local L1 hits back into waiting warps.
+//! The LSU handles one cache-line access per cycle, head-of-line:
+//! accesses that resolve against SM-private state (MSHR merges, L1
+//! hits) complete at once, while accesses that need the shared
+//! interconnect/texture queues are classified into a
+//! [`super::PendingAccess`] and injected after the issue stage, where
+//! `can_accept` back-pressure is arbitrated in service order.
 //!
-//! A refused access stays staged until a commit injects it; the local
-//! half does no work in the meantime (see [`Sm::lsu_local`] for why the
-//! held classification cannot go stale). Outstanding misses live in the
-//! flat MSHR file of `super::mshr`.
+//! A refused access stays staged until a later cycle injects it; the
+//! LSU stage does no work in the meantime (see [`Sm::lsu_local`] for why
+//! the held classification cannot go stale). Outstanding misses live in
+//! the flat MSHR file of `super::mshr`.
 
 use std::cmp::Reverse;
 
@@ -24,7 +23,7 @@ use crate::program::MemSpace;
 
 use super::{LsuEntry, PendingAccess, Sm};
 
-/// What the LD/ST unit does with its head access in the local phase.
+/// What the LD/ST unit does with its head access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeadAction {
     /// Secondary miss: join the outstanding MSHR entry at this index.
@@ -38,10 +37,10 @@ enum HeadAction {
 }
 
 impl Sm {
-    /// Delivers memory responses (global/texture) from the pre-drained
-    /// inbox and matured local L1 hits. A load completion can be the
-    /// last outstanding work of an already-finished warp, so block
-    /// completion is re-checked. Local phase: touches no shared state.
+    /// Delivers memory responses (global/texture) from the inbox and
+    /// matured local L1 hits. A load completion can be the last
+    /// outstanding work of an already-finished warp, so block completion
+    /// is re-checked.
     pub(super) fn respond_local(&mut self, now: Femtos, completed_blocks: &mut Vec<usize>) {
         let mut buf = std::mem::take(&mut self.inbox);
         for token in buf.drain(..) {
@@ -87,19 +86,19 @@ impl Sm {
         }
     }
 
-    /// The LD/ST unit's local half: resolves the head-of-line access
+    /// The LD/ST unit's classification: resolves the head-of-line access
     /// when only SM-private state is involved (MSHR merge, L1 hit), or
-    /// stages it as a [`PendingAccess`] for the commit phase when it
-    /// must be injected into the shared queues. A full MSHR file stalls
-    /// the head of line right here.
+    /// stages it as a [`PendingAccess`] for [`Sm::commit_pending`] when
+    /// it must be injected into the shared queues. A full MSHR file
+    /// stalls the head of line right here.
     ///
     /// An access the shared queue refused stays staged, and this stage
-    /// does nothing until a commit injects it: re-classifying it would
-    /// stage the same access again. Its address is a pure function of
-    /// the LSU entry; only this LSU head fills the L1 or allocates MSHR
-    /// entries; responses only free entries. So "not in the L1", "no
-    /// entry for this line" and "the MSHR file has room" all stay true
-    /// while it waits.
+    /// does nothing until [`Sm::commit_pending`] injects it:
+    /// re-classifying it would stage the same access again. Its address
+    /// is a pure function of the LSU entry; only this LSU head fills the
+    /// L1 or allocates MSHR entries; responses only free entries. So
+    /// "not in the L1", "no entry for this line" and "the MSHR file has
+    /// room" all stay true while it waits.
     pub(super) fn lsu_local(&mut self, now: Femtos, li: usize, period_fs: Femtos) {
         if self.pending.is_some() {
             crate::validate_assert!(
@@ -174,10 +173,10 @@ impl Sm {
         }
     }
 
-    /// The LD/ST unit's commit half: injects the staged access if the
+    /// The LD/ST unit's injection: injects the staged access if the
     /// target shared queue has room; a back-pressured queue leaves it
-    /// staged for the next cycle's commit. Runs in the engine's rotated
-    /// service order.
+    /// staged for the next cycle. Runs in the engine's rotated service
+    /// order.
     pub(super) fn commit_pending(&mut self, li: usize, mem: &mut MemSystem) {
         let Some(p) = self.pending else {
             return;

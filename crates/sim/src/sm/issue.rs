@@ -44,12 +44,9 @@
 //! a copy of the CCWS mask, rebuilt with the order and whenever the mask
 //! refreshes.
 //!
-//! The whole stage is part of the *local* phase of the two-phase cycle:
-//! it reads and writes only this SM's warps, scoreboard and LSU queue,
-//! and leaves everything shared to the commit. `Sm::cycle_local` gets
-//! no handle to shared mutable state, and the crate's `clippy.toml`
-//! bans the cells, locks and atomics that could smuggle one in
-//! (DESIGN.md §7).
+//! The stage reads and writes only this SM's warps, scoreboard and LSU
+//! queue; the shared memory system and dispatcher are reached only
+//! after it, by the injection and retire steps of `Sm::cycle`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

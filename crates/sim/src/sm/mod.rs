@@ -74,10 +74,10 @@ struct LsuEntry {
 }
 
 /// A classified LSU head access that needs the shared memory system:
-/// staged by [`Sm::cycle_local`] and resolved by [`Sm::commit`], where
-/// `MemSystem::can_accept` arbitration happens in the engine's rotated
-/// service order regardless of how the local phase was scheduled. A
-/// refused access stays staged until a later commit injects it.
+/// staged by the LSU stage of [`Sm::cycle`] and injected later in the
+/// same cycle if `MemSystem::can_accept` allows, in the engine's rotated
+/// service order. A refused access stays staged until a later cycle
+/// injects it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingAccess {
     line: u64,
@@ -129,14 +129,14 @@ pub struct Sm {
     epoch: WarpStateCounters,
     run_total: WarpStateCounters,
     events: [SmLevelEvents; 3],
-    /// Response tokens pre-drained from the memory system for this cycle
-    /// (the SM's inbox; filled serially by the engine, consumed by the
-    /// local phase).
+    /// Response tokens drained from the memory system at the start of a
+    /// cycle (the SM's inbox), delivered by the respond stage.
     inbox: Vec<u64>,
-    /// The LSU head access awaiting shared-queue arbitration in `commit`;
-    /// held across cycles while the target queue refuses it.
+    /// The LSU head access awaiting a shared-queue slot; held across
+    /// cycles while the target queue refuses it.
     pending: Option<PendingAccess>,
-    /// Block slots completed during the local phase, retired in `commit`.
+    /// Scratch for the block slots that complete during a cycle; they
+    /// retire at its end, so it is empty between cycles.
     completed_scratch: Vec<usize>,
     ccws: Option<CcwsState>,
     blocks_completed: u64,
@@ -145,7 +145,7 @@ pub struct Sm {
     fast_issue: bool,
     /// Whether the current cycle's snapshot is sampled (`cycles` is a
     /// multiple of `sample_interval`). Set once per cycle by
-    /// [`Sm::cycle_local`] for the issue stage and [`Sm::account_cycle`].
+    /// [`Sm::cycle`] for the issue stage and [`Sm::account_cycle`].
     sampled: bool,
     /// Resident warps whose launch stagger is still counting down.
     /// Maintained incrementally at launch and on every decrement.
@@ -296,12 +296,10 @@ impl Sm {
     }
 
     /// Advances the SM by one cycle ending at `now` against the shared
-    /// memory system and dispatcher.
-    ///
-    /// Drains the SM's ready responses into its inbox, runs
-    /// [`Sm::cycle_local`] and immediately [`Sm::commit`]s. This is the
-    /// engine's per-tick step for every due SM, run in the rotated
-    /// service order.
+    /// memory system and dispatcher. The engine calls it for every due
+    /// SM in the `mix64`-rotated service order, so interconnect
+    /// arbitration, back-pressure and GWDE block dispatch resolve in one
+    /// deterministic order.
     pub fn cycle(
         &mut self,
         now: Femtos,
@@ -311,30 +309,16 @@ impl Sm {
         gwde: &mut Gwde,
     ) {
         mem.drain_ready(self.id, now, &mut self.inbox);
-        self.cycle_local(now, level, period_fs);
-        self.commit(level, mem, gwde);
-    }
-
-    /// Phase 1 of a cycle: everything that only touches this SM's own
-    /// state — response delivery from the pre-drained inbox, LSU head
-    /// classification (fully resolving L1 hits and MSHR merges), the
-    /// CCWS mask refresh and the issue stage. Accesses that need the
-    /// shared interconnect/texture queues are staged in
-    /// [`PendingAccess`]; completed blocks are parked for the retire
-    /// stage. Touches no other SM: everything shared waits for
-    /// [`Sm::commit`].
-    pub fn cycle_local(&mut self, now: Femtos, level: VfLevel, period_fs: Femtos) {
         self.cycles += 1;
         self.sampled = self.cycles.is_multiple_of(self.sample_interval);
         let li = level.index();
         let mut completed_blocks = std::mem::take(&mut self.completed_scratch);
-        completed_blocks.clear();
 
         // 1. Deliver memory responses (global/texture) and local L1 hits.
         self.respond_local(now, &mut completed_blocks);
 
-        // 2. LD/ST unit: resolve the head access locally or classify it
-        //    for the commit phase.
+        // 2. LD/ST unit: resolve the head access against the L1 and
+        //    MSHRs, or stage it for the shared queues.
         self.lsu_local(now, li, period_fs);
 
         // 3. Refresh the CCWS issue mask periodically, and the issue
@@ -348,35 +332,25 @@ impl Sm {
 
         // 4. Issue stage: classify and issue warps oldest-block-first.
         self.snapshot = self.issue_stage(now, li, period_fs, &mut completed_blocks);
-        self.completed_scratch = completed_blocks;
-    }
 
-    /// Phase 2 of a cycle: the serial commit against shared state. The
-    /// engine calls it in the `mix64`-rotated service order, so
-    /// interconnect arbitration, back-pressure and GWDE block dispatch
-    /// resolve in one deterministic order.
-    pub fn commit(&mut self, level: VfLevel, mem: &mut MemSystem, gwde: &mut Gwde) {
-        let li = level.index();
-
-        // 5a. Resolve the staged LSU head access against the shared
-        //     queues (the only per-cycle arbitration point).
+        // 5. Inject the staged LSU head access if its shared queue has
+        //    room (the only per-cycle arbitration point).
         self.commit_pending(li, mem);
 
-        // 5b. Retire completed blocks and backfill from the dispatcher.
-        if !self.completed_scratch.is_empty() {
-            let mut completed = std::mem::take(&mut self.completed_scratch);
-            for slot in completed.drain(..) {
+        // 6. Retire completed blocks and backfill from the dispatcher.
+        if !completed_blocks.is_empty() {
+            for slot in completed_blocks.drain(..) {
                 self.retire_block(slot);
             }
-            self.completed_scratch = completed;
             self.fill(gwde);
         }
+        self.completed_scratch = completed_blocks;
 
-        // 6. Statistics (busy_cycles needs post-retire residency).
+        // 7. Statistics (busy_cycles needs post-retire residency).
         self.account_cycle(level);
     }
 
-    /// The per-cycle statistics half of [`Sm::commit`] (step 6): busy /
+    /// The per-cycle statistics step of [`Sm::cycle`] (step 7): busy /
     /// idle cycle accounting and the periodic warp-state sample. It
     /// touches only this SM's own counters; [`Sm::fast_forward_window`]
     /// applies `w` of them at once.
@@ -403,14 +377,10 @@ impl Sm {
     /// (memory-event horizon, local-hit cap) prove nothing does. What
     /// must be clean is everything the per-cycle pipeline itself would
     /// act on: a queued LSU access would stage shared-queue traffic, a
-    /// staged access or completed block needs the commit phase, and an
-    /// undelivered inbox token needs `respond_local` with the token's
-    /// arrival cycle.
+    /// staged access waits for a shared-queue slot, and an undelivered
+    /// inbox token needs `respond_local` with the token's arrival cycle.
     pub(crate) fn batch_ready(&self) -> bool {
-        self.lsu.is_empty()
-            && self.pending.is_none()
-            && self.inbox.is_empty()
-            && self.completed_scratch.is_empty()
+        self.lsu.is_empty() && self.pending.is_none() && self.inbox.is_empty()
     }
 
     /// How many cycles, starting with the one that completes at `first`
@@ -463,12 +433,12 @@ impl Sm {
 
     /// Bulk-applies `w` cycles in which this SM provably does nothing:
     /// every awake warp is stalled for the whole window (see
-    /// [`Sm::fused_horizon`]), so each per-tick [`Sm::cycle_local`] +
-    /// [`Sm::account_cycle`] pair reduces to the same all-waiting
-    /// snapshot, a cycle-counter increment and a stagger decrement. The
-    /// additions are plain (not saturating) and the sample count is
-    /// derived from the same `is_multiple_of` cadence, so the result is
-    /// bit-identical to `w` per-tick iterations.
+    /// [`Sm::fused_horizon`]), so each per-tick [`Sm::cycle`] reduces to
+    /// the same all-waiting snapshot, a cycle-counter increment and a
+    /// stagger decrement. The additions are plain (not saturating) and
+    /// the sample count is derived from the same `is_multiple_of`
+    /// cadence, so the result is bit-identical to `w` per-tick
+    /// iterations.
     pub(crate) fn fast_forward_window(&mut self, w: u64, level: VfLevel) {
         debug_assert!(w >= 1, "empty fused window");
         debug_assert!(self.batch_ready(), "fused window on a busy pipeline");
@@ -546,12 +516,7 @@ impl Sm {
         );
         assert!(
             self.pending.is_none(),
-            "SM {}: uncommitted LSU access at kernel completion",
-            self.id
-        );
-        assert!(
-            self.completed_scratch.is_empty(),
-            "SM {}: unretired completed blocks at kernel completion",
+            "SM {}: uninjected LSU access at kernel completion",
             self.id
         );
     }

@@ -36,3 +36,15 @@ pub fn sorted_distinct(xs: &[u32]) -> Vec<u32> {
 pub fn empty() -> HashSet<u8> {
     HashSet::new()
 }
+
+/// An `allow` naming a lint that does not exist is an error too.
+#[allow(clippy::no_such_lint, reason = "a misspelt name allows nothing")] //~ unknown_lints
+pub fn misspelt() {}
+
+/// A banned name in a string or a comment (HashMap) is not a use.
+pub const NAME: &str = "std::collections::HashMap";
+
+/// An ordered container sums its values in key order, so it is fine.
+pub fn total(energy: &std::collections::BTreeMap<u32, f64>) -> f64 {
+    energy.values().sum()
+}

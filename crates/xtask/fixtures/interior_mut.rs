@@ -1,7 +1,7 @@
 //! Fixture: interior mutability, locks and atomics are banned in the
 //! strict crates. The simulator is single-threaded and every write goes
 //! through `&mut`, so none of these has a sound use there, and banning
-//! them crate-wide keeps shared writes out of `Sm::cycle_local`.
+//! them crate-wide keeps every shared write visible in a signature.
 
 use std::cell::RefCell; //~ clippy::disallowed_types
 use std::sync::atomic::{AtomicU64, Ordering}; //~ clippy::disallowed_types
@@ -22,6 +22,9 @@ pub fn count(issued: &[u32]) -> u64 {
     total.into_inner().unwrap_or(0) + seen.load(Ordering::Relaxed)
 }
 
+/// A lock in a static, which no function signature shows.
+pub static TALLY: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new()); //~ clippy::disallowed_types
+
 /// Every other banned shared-state type, one per line.
 pub type Shared = (
     std::cell::Cell<u32>, //~ clippy::disallowed_types
@@ -39,3 +42,16 @@ pub type Shared = (
     std::sync::atomic::AtomicIsize, //~ clippy::disallowed_types
     std::sync::atomic::AtomicPtr<u8>, //~ clippy::disallowed_types
 );
+
+/// Lock-like identifiers are not lock types.
+pub fn lock_free(block: &[u64], clock: u64) -> u64 {
+    let unlocked = block.iter().sum::<u64>();
+    unlocked + clock
+}
+
+/// A reasoned inner `allow` exempts a whole module.
+pub mod host {
+    #![allow(clippy::disallowed_types, reason = "host-side progress reporting, never simulated")]
+    /// Runs finished so far.
+    pub static DONE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+}

@@ -15,3 +15,13 @@ pub struct Bare; //~ missing_docs
 /// Documented through an attribute.
 #[derive(Clone)]
 pub struct Dressed;
+
+/// Tuple fields need no docs.
+pub struct Tuple(pub u32);
+
+/// Named fields do.
+pub struct Named {
+    pub field: u32, //~ missing_docs
+}
+
+pub use std::cmp::Ordering;

@@ -8,4 +8,7 @@ pub fn step() {
     /* a block comment's later lines count too:
        TODO: hoist the lookup */ //~ tagged-todo
     let _ = "// TODO: a string, not a comment";
+    let _ = r#"a raw string: "// TODO" stays a string"#;
+    let _ = ('"', "// TODO: a quote char opens no string");
+    /* nested /* TODO(#7): tagged */ still a comment: FIXME */ //~ tagged-todo
 }

@@ -13,19 +13,13 @@
 //!   exactly the errors its `//~ <lint>` markers name, and every ban to
 //!   fire, so removing a ban or a deny fails it;
 //! * [`untagged_todos`]: a to-do comment must carry an issue tag,
-//!   `TODO(#12): ...`; clippy does not read comments;
-//! * [`effects::local_phase_violations`]: `Sm::cycle_local` takes no
-//!   `&mut` handle to shared state, the structural half of local-phase
-//!   purity that no lint states;
+//!   `TODO(#12): ...`; clippy does not read comments ([`scan`] splits
+//!   them from code and strings);
 //! * [`external_packages`]: no lockfile entry comes from a registry or
 //!   git, so no third-party RNG or clock can enter the build.
-//!
-//! [`scan`] is the comment- and string-aware line view the last three
-//! need.
 
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
-pub mod effects;
 pub mod rules;
 pub mod scan;
 
@@ -54,15 +48,17 @@ pub fn expected_markers(source: &str) -> Vec<(String, usize)> {
 
 /// The errors of `fixture` compiled as a library under the strict
 /// configuration: `conf_dir`'s `clippy.toml`, [`strict_flags`] and the
-/// workspace's `missing_docs` warning. Writes only metadata into
-/// `out_dir`.
+/// workspace's `missing_docs` warning. `cfg(test)` is set, as for
+/// `cargo clippy --all-targets`, so a fixture's `#[cfg(test)]` module is
+/// checked under the `allow-*-in-tests` exemptions. Writes only metadata
+/// into `out_dir`.
 pub fn fixture_errors(
     fixture: &Path,
     conf_dir: &Path,
     out_dir: &Path,
 ) -> Result<Vec<Diagnostic>, String> {
     let mut flags = strict_flags();
-    flags.extend(["-W", "missing_docs"]);
+    flags.extend(["-W", "missing_docs", "--cfg", "test"]);
     clippy_errors(fixture, conf_dir, out_dir, &flags)
 }
 
@@ -170,8 +166,7 @@ pub fn check_all_fixtures(root: &Path, out_dir: &Path) -> Result<String, String>
 pub fn untagged_todos(source: &str) -> Vec<(usize, &'static str)> {
     let word = |c: char| c.is_alphanumeric() || c == '_';
     let mut out = Vec::new();
-    for (idx, line) in scan::scan(source).iter().enumerate() {
-        let comment = &line.comment;
+    for (idx, comment) in scan::comments(source).iter().enumerate() {
         for keyword in ["TODO", "FIXME"] {
             let untagged = comment.match_indices(keyword).any(|(at, _)| {
                 let rest = &comment[at + keyword.len()..];
@@ -230,82 +225,6 @@ pub fn rs_files(dir: &Path, skip: &[&str]) -> io::Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::effects::local_phase_violations;
-    use crate::rules::{snippet_errors, strict_errors};
-
-    fn at(lint: &str, line: usize) -> (String, usize) {
-        (lint.to_string(), line)
-    }
-
-    /// Strict flags plus rustc's `missing_docs`, as the fixtures run.
-    fn docs_errors(name: &str, source: &str) -> Vec<(String, usize)> {
-        let mut flags = strict_flags();
-        flags.extend(["-W", "missing_docs"]);
-        snippet_errors(name, source, "sim", &flags)
-    }
-
-    #[test]
-    fn hashmap_fires_in_strict_lib_code() {
-        let src = "pub use std::collections::HashMap;\n";
-        let found = strict_errors("hashmap_strict", src);
-        assert_eq!(found, [at("clippy::disallowed_types", 1)]);
-    }
-
-    #[test]
-    fn hashmap_in_string_or_comment_is_fine() {
-        let src = "// HashMap is banned\npub const NAME: &str = \"HashMap\";\n";
-        assert_eq!(strict_errors("hashmap_mentions", src), []);
-    }
-
-    #[test]
-    fn hashmap_ignored_outside_strict_crates() {
-        // `crates/workloads` has no `clippy.toml` and denies only prints.
-        let src = "pub fn histogram() -> std::collections::HashMap<u32, u32> {\n    Default::default()\n}\n";
-        let flags = [
-            "--crate-type=lib",
-            "-D",
-            "clippy::print_stdout",
-            "-D",
-            "warnings",
-        ];
-        assert_eq!(snippet_errors("hashmap_lax", src, "workloads", &flags), []);
-    }
-
-    #[test]
-    fn cfg_test_region_is_exempt() {
-        // `allow-*-in-tests` in `clippy.toml`: test code may unwrap,
-        // panic and print even where `lib.rs` denies it.
-        let src = "\
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let x: Option<u32> = \"1\".parse().ok();
-        println!(\"{}\", x.unwrap());
-        assert_eq!(x.expect(\"set\"), 1);
-        if x.is_none() {
-            panic!(\"gone\");
-        }
-    }
-}
-";
-        let mut flags = vec!["--test"];
-        flags.extend(strict_flags().into_iter().skip(1));
-        assert_eq!(snippet_errors("cfg_test_exempt", src, "sim", &flags), []);
-    }
-
-    #[test]
-    fn unwrap_and_expect_fire() {
-        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\npub fn g(x: Option<u32>) -> u32 { x.expect(\"gone\") }\n";
-        let want = [at("clippy::expect_used", 2), at("clippy::unwrap_used", 1)];
-        assert_eq!(strict_errors("unwrap_expect", src), want);
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
-        assert_eq!(strict_errors("unwrap_or", src), []);
-    }
 
     #[test]
     fn operand_is_not_rand() {
@@ -313,66 +232,6 @@ mod tests {
         let lock = "version = 4\n\n[[package]]\nname = \"operand\"\nversion = \"0.1.0\"\n\n[[package]]\nname = \"rand\"\nversion = \"0.8.5\"\nsource = \"registry+https://github.com/rust-lang/crates.io-index\"\n";
         assert_eq!(external_packages(lock), ["rand"]);
         assert!(external_packages("[[package]]\nname = \"operand\"\n").is_empty());
-    }
-
-    #[test]
-    fn allow_suppresses_and_is_counted() {
-        let src = "#[allow(clippy::unwrap_used, reason = \"input validated above\")]\npub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        assert_eq!(strict_errors("allow_reasoned", src), []);
-        // Without the allow, the same code errors once.
-        let bare = src.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(
-            strict_errors("allow_absent", &bare),
-            [at("clippy::unwrap_used", 2)]
-        );
-    }
-
-    #[test]
-    fn allow_without_reason_is_malformed_and_inert() {
-        // The bare allow silences `unwrap_used` but is an error itself,
-        // so the build still fails: it cannot land.
-        let src =
-            "#[allow(clippy::unwrap_used)]\npub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        let want = [at("clippy::allow_attributes_without_reason", 1)];
-        assert_eq!(strict_errors("allow_bare", src), want);
-    }
-
-    #[test]
-    fn allow_with_unknown_rule_is_flagged() {
-        let src = "#[allow(clippy::no_unicorns, reason = \"oops\")]\npub fn f() {}\n";
-        assert_eq!(
-            strict_errors("allow_unknown", src),
-            [at("unknown_lints", 1)]
-        );
-    }
-
-    #[test]
-    fn pub_docs_requires_doc_comment() {
-        let src = "//! Snippet.\npub fn naked() {}\n\n/// Documented.\npub fn dressed() {}\n";
-        assert_eq!(docs_errors("docs_missing", src), [at("missing_docs", 2)]);
-    }
-
-    #[test]
-    fn pub_docs_sees_through_attributes() {
-        let src = "//! Snippet.\n/// Documented.\n#[derive(Debug, Clone)]\npub struct S;\n";
-        assert_eq!(docs_errors("docs_attrs", src), []);
-    }
-
-    #[test]
-    fn pub_use_and_fields_are_not_items() {
-        // Re-exports and tuple fields need no docs; rustc does require
-        // them on named fields (line 6).
-        let src = "\
-//! Snippet.
-/// Docs.
-pub struct S(pub u32);
-/// Docs.
-pub struct N {
-    pub field: u32,
-}
-pub use std::cmp::Ordering;
-";
-        assert_eq!(docs_errors("docs_items", src), [at("missing_docs", 6)]);
     }
 
     #[test]
@@ -384,7 +243,7 @@ pub use std::cmp::Ordering;
             .map(|(line, _)| ("tagged-todo".into(), line))
             .collect();
         assert_eq!(found, expected_markers(&src));
-        assert_eq!(found.len(), 3);
+        assert_eq!(found.len(), 4);
     }
 
     #[test]
@@ -428,115 +287,6 @@ pub use std::cmp::Ordering;
         let want = [("clippy::panic", 2), ("clippy::x", 3), ("missing_docs", 3)];
         let want: Vec<(String, usize)> = want.iter().map(|&(l, n)| (l.to_string(), n)).collect();
         assert_eq!(expected_markers(src), want);
-    }
-
-    #[test]
-    fn debug_print_fires_in_any_lib_code() {
-        // Every library's `lib.rs` denies both print lints.
-        let src = "pub fn f() {\n    println!(\"hi\");\n    eprintln!(\"hi\");\n}\n";
-        let flags = [
-            "--crate-type=lib",
-            "-D",
-            "clippy::print_stdout",
-            "-D",
-            "clippy::print_stderr",
-            "-D",
-            "warnings",
-        ];
-        let want = [at("clippy::print_stderr", 3), at("clippy::print_stdout", 2)];
-        assert_eq!(
-            snippet_errors("print_lax_lib", src, "workloads", &flags),
-            want
-        );
-        assert_eq!(strict_errors("print_strict_lib", src), want);
-    }
-
-    #[test]
-    fn debug_print_ignored_in_bin_code() {
-        // A binary is its own crate: no `lib.rs` deny reaches it.
-        let src = "fn main() {\n    println!(\"hi\");\n}\n";
-        let flags = ["--crate-type=bin", "-D", "warnings"];
-        assert_eq!(snippet_errors("print_bin", src, "harness", &flags), []);
-    }
-
-    fn local_phase(files: &[(&str, &str)]) -> Vec<(String, usize)> {
-        let sources: Vec<(PathBuf, String)> = files
-            .iter()
-            .map(|(p, s)| (PathBuf::from(p), (*s).to_string()))
-            .collect();
-        local_phase_violations(&sources)
-            .into_iter()
-            .map(|(file, line, _)| (file.display().to_string(), line))
-            .collect()
-    }
-
-    #[test]
-    fn local_phase_flags_reachable_shared_mut() {
-        let src = "\
-impl Sm {
-    pub fn cycle_local(
-        &mut self,
-        now: u64,
-        mem: &mut MemSystem,
-    ) {
-        self.stage(now, mem);
-    }
-}
-";
-        assert_eq!(local_phase(&[("a.rs", src)]), [("a.rs".to_string(), 5)]);
-    }
-
-    #[test]
-    fn local_phase_reaches_across_files() {
-        let a = "fn stage(_g: &mut Gwde) {}\n";
-        let b = "fn lib() {}\nfn cycle_local(g: &mut Gwde) {\n    stage(g);\n}\n";
-        assert_eq!(
-            local_phase(&[("a.rs", a), ("b.rs", b)]),
-            [("b.rs".to_string(), 2)]
-        );
-    }
-
-    #[test]
-    fn local_phase_allows_shared_refs_and_mut_self() {
-        let src = "\
-impl Sm {
-    fn cycle_local(&mut self, mem: &MemSystem) {
-        self.observe(mem);
-    }
-    fn cycle_local_fast(&mut self, mem: &mut MemSystem) {}
-}
-";
-        assert_eq!(local_phase(&[("a.rs", src)]), []);
-    }
-
-    #[test]
-    fn local_phase_is_inert_without_a_root() {
-        let src = "struct MemSystem;\nfn fill(_m: &mut MemSystem) {}\n// fn cycle_local(m: &mut MemSystem)\n";
-        assert_eq!(local_phase(&[("a.rs", src)]), []);
-    }
-
-    #[test]
-    fn local_phase_skips_test_regions() {
-        let src = "\
-fn fill(_m: &mut MemSystem) {}
-#[cfg(test)]
-mod tests {
-    fn cycle_local(m: &mut MemSystem) {
-        fill(m);
-    }
-}
-";
-        assert_eq!(local_phase(&[("a.rs", src)]), []);
-    }
-
-    #[test]
-    fn local_phase_handles_generic_signatures() {
-        let src = "\
-fn cycle_local<F: Fn() -> u32, const N: usize>(f: F, g: &mut [Gwde; N]) -> Vec<u32> {
-    route(f(), g)
-}
-";
-        assert_eq!(local_phase(&[("a.rs", src)]), [("a.rs".to_string(), 1)]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!   `crates/xtask/fixtures/` with `clippy-driver` under the strict
 //!   crates' configuration; fails unless each errors exactly on its
 //!   `//~ <lint>` markers and every ban in `crates/sim/clippy.toml`
-//!   fires somewhere ([`xtask::check_all_fixtures`]).
+//!   fires somewhere ([`xtask::check_all_fixtures`]). The fixtures are
+//!   the one check of the determinism policy: each behaviour of it is
+//!   one marked (or deliberately unmarked) line.
 //! * `cargo xtask ci` — the offline CI driver and the whole pipeline,
 //!   the steps of `STEPS` in order: release build; clippy with
 //!   warnings denied, with default features and with `validate`; the
@@ -58,7 +60,8 @@ fn cmd_fixtures() -> i32 {
 enum Step {
     /// A cargo command line, split on whitespace.
     Cargo(&'static str),
-    /// [`cmd_fixtures`], in process.
+    /// [`cmd_fixtures`], in process: proves every ban and strict deny
+    /// still fires, before the slower test suites run.
     Fixtures,
     /// The benchmark's `sweep-memory` workload at seed 0, whose result
     /// line must report `"correct":true`: every simulation's `RunStats`

@@ -136,128 +136,9 @@ pub fn clippy_errors(
     Ok(parse_diagnostics(&String::from_utf8_lossy(&out.stderr)))
 }
 
-/// Compiles `source` as `<name>.rs` under `crates/<conf_crate>`'s
-/// configuration and `flags`; returns the sorted `(lint, line)` errors.
-#[cfg(test)]
-pub(crate) fn snippet_errors(
-    name: &str,
-    source: &str,
-    conf_crate: &str,
-    flags: &[&str],
-) -> Vec<(String, usize)> {
-    let exe = std::env::current_exe().unwrap();
-    let dir = exe.parent().unwrap().join("xtask-snippets");
-    std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join(format!("{name}.rs"));
-    std::fs::write(&file, source).unwrap();
-    let conf = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../crates")
-        .join(conf_crate);
-    let mut found: Vec<(String, usize)> = clippy_errors(&file, &conf, &dir, flags)
-        .unwrap()
-        .into_iter()
-        .map(|d| (d.0, d.1))
-        .collect();
-    found.sort();
-    found
-}
-
-/// [`snippet_errors`] under the strict configuration of `crates/sim`.
-#[cfg(test)]
-pub(crate) fn strict_errors(name: &str, source: &str) -> Vec<(String, usize)> {
-    snippet_errors(name, source, "sim", &strict_flags())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn at(lint: &str, line: usize) -> (String, usize) {
-        (lint.to_string(), line)
-    }
-
-    #[test]
-    fn lock_order_flags_mutex_types_on_the_hot_path() {
-        let src = "pub struct Hot {\n    pub queue: std::sync::Mutex<Vec<u32>>,\n}\n";
-        let found = strict_errors("lock_mutex_type", src);
-        assert_eq!(found, [at("clippy::disallowed_types", 2)]);
-    }
-
-    #[test]
-    fn lock_order_flags_locks_reachable_from_the_hot_path() {
-        // A lock handed in by reference is still a use of the type.
-        let src = "\
-pub fn cycle_local(tally: &std::sync::RwLock<u64>) -> u64 {
-    tally.read().map(|g| *g).unwrap_or(0)
-}
-";
-        let found = strict_errors("lock_reachable", src);
-        assert_eq!(found, [at("clippy::disallowed_types", 1)]);
-    }
-
-    #[test]
-    fn lock_order_does_not_match_lock_like_identifiers() {
-        let src = "\
-pub fn lock_free(block: &[u64], clock: u64) -> u64 {
-    let unlocked = block.iter().sum::<u64>();
-    unlocked + clock
-}
-";
-        assert_eq!(strict_errors("lock_like_names", src), []);
-    }
-
-    #[test]
-    fn lock_order_allow_suppresses() {
-        let src = "\
-#[allow(clippy::disallowed_types, reason = \"host-side progress counter\")]
-pub fn guarded(n: u64) -> std::sync::Mutex<u64> {
-    std::sync::Mutex::new(n)
-}
-";
-        assert_eq!(strict_errors("lock_allowed", src), []);
-    }
-
-    #[test]
-    fn purity_flags_interior_mut_through_helpers() {
-        let src = "\
-pub fn cycle_local(x: u32) -> u32 {
-    bump(x)
-}
-fn bump(x: u32) -> u32 {
-    let slot = std::cell::Cell::new(x);
-    slot.set(x + 1);
-    slot.get()
-}
-";
-        let found = strict_errors("purity_helper", src);
-        assert_eq!(found, [at("clippy::disallowed_types", 5)]);
-    }
-
-    #[test]
-    fn purity_allow_suppresses() {
-        let src = "\
-pub fn cycle_local(x: u32) -> u32 {
-    bump(x)
-}
-#[allow(clippy::disallowed_types, reason = \"scratch cell never escapes\")]
-fn bump(x: u32) -> u32 {
-    let slot = std::cell::Cell::new(x);
-    slot.set(x + 1);
-    slot.get()
-}
-";
-        assert_eq!(strict_errors("purity_allowed", src), []);
-    }
-
-    #[test]
-    fn ordered_float_reduction_is_fine() {
-        let src = "\
-pub fn total(energy: &std::collections::BTreeMap<u32, f64>) -> f64 {
-    energy.values().sum()
-}
-";
-        assert_eq!(strict_errors("ordered_sum", src), []);
-    }
 
     #[test]
     fn json_escapes_special_characters() {
@@ -297,8 +178,8 @@ pub fn total(energy: &std::collections::BTreeMap<u32, f64>) -> f64 {
             assert!(!bans.is_empty(), "{} bans nothing", path.display());
             for (ban, reason) in bans {
                 assert!(
-                    !reason.trim().is_empty(),
-                    "{ban} in {} has no reason",
+                    reason.trim().len() > 10,
+                    "{ban} in {} needs a reason, got {reason:?}",
                     path.display()
                 );
             }

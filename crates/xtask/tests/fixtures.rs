@@ -2,7 +2,9 @@
 //! `clippy-driver` under `crates/sim/clippy.toml` and
 //! [`xtask::rules::STRICT_DENY`], each must error exactly on its `//~`
 //! markers, and together they must exercise every lint and every ban.
-//! The shipped workspace must pass the one rule clippy cannot run.
+//! Each behaviour of the configuration is one marked (or deliberately
+//! unmarked) line of a fixture. The shipped workspace must pass the one
+//! rule clippy cannot run.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1,5 +1,6 @@
 //! Workspace-wide rules that are tests rather than lints: the strict
-//! crates share one configuration and deny the same lints, and no
+//! crates share one configuration (so the fixtures, checked under
+//! `crates/sim`'s, prove all four) and deny the same lints, and no
 //! external package can enter the build.
 
 use std::fs;
@@ -24,8 +25,22 @@ fn strict_crates_share_one_clippy_config() {
     }
 }
 
+/// Every strict crate denies every fixture lint, and DESIGN.md §7
+/// explains each one.
 #[test]
 fn strict_crates_deny_the_fixture_lints() {
+    let design = read("DESIGN.md");
+    let start = design.find("## 7.").expect("DESIGN.md has §7");
+    let end = design[start..]
+        .find("\n## 8.")
+        .map_or(design.len(), |e| start + e);
+    for lint in xtask::rules::STRICT_DENY {
+        let bare = lint.trim_start_matches("clippy::");
+        assert!(
+            design[start..end].contains(bare),
+            "DESIGN.md §7 does not explain `{lint}`"
+        );
+    }
     let workspace_deny = read("Cargo.toml");
     for name in xtask::rules::STRICT_CRATES {
         let lib = read(&format!("crates/{name}/src/lib.rs"));

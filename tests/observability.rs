@@ -141,6 +141,41 @@ fn metrics_cover_the_paper_counters() {
     assert!(last <= stats.instructions() as f64);
 }
 
+/// A machine warp gauge is the per-SM mean: on a shared VRM every SM
+/// takes the same samples, so at every epoch `warp.active.avg` and
+/// `issue.rate` equal the mean of their `sm<N>.` series.
+#[test]
+fn machine_warp_gauges_are_per_sm_means() {
+    let mut config = GpuConfig::gtx480();
+    config.num_sms = 4;
+    let kernel = kernel_by_name("kmn").unwrap();
+    let mut governor = Equalizer::new(Mode::Performance, config.num_sms);
+    let mut obs = MetricsObserver::new(PowerModel::gtx480());
+    Engine::new(&config, &kernel, SimOptions::default())
+        .unwrap()
+        .with_observer(&mut obs)
+        .run(&mut governor)
+        .unwrap();
+    let registry = obs.registry();
+    for name in ["warp.active.avg", "issue.rate"] {
+        let points = &registry.get(name).unwrap().points;
+        assert!(points.len() > 10, "{name}: too few epochs");
+        let series: Vec<_> = (0..config.num_sms)
+            .map(|sm| &registry.get(&format!("sm{sm}.{name}")).unwrap().points)
+            .collect();
+        for (i, point) in points.iter().enumerate() {
+            let mean = series.iter().map(|s| s[i].value).sum::<f64>() / series.len() as f64;
+            assert!(series.iter().all(|s| s[i].epoch == point.epoch));
+            assert!(
+                (point.value - mean).abs() <= 1e-9 * mean.abs().max(1.0),
+                "{name} at epoch {}: {} against the per-SM mean {mean}",
+                point.epoch,
+                point.value
+            );
+        }
+    }
+}
+
 /// The observer registers its whole catalog, machine-wide and per-SM
 /// series alike, on the first epoch, and the registry rejects a repeated
 /// name with `ObsError::DuplicateMetric`. A CCWS machine and a

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use equalizer_sim::engine::{Engine, StepEvent};
 
+use equalizer_baselines::DynCta;
 use equalizer_core::{Equalizer, Mode};
 use equalizer_sim::ccws::CcwsState;
 use equalizer_sim::governor::{
@@ -54,20 +55,29 @@ fn tier1_workloads_match_per_tick() {
     }
 }
 
+/// Every epoch-driven governor family on the shared VRM: Equalizer in
+/// both modes and DynCTA move block targets and VF levels mid-run.
 #[test]
 fn equalizer_runs_match_per_tick() {
     let mut config = GpuConfig::gtx480();
     config.num_sms = 6;
-    let kernel = kernel_by_name("mmer").unwrap();
-    assert_matches_per_tick("equalizer/mmer", &config, &kernel, || {
+    let mmer = kernel_by_name("mmer").unwrap();
+    assert_matches_per_tick("equalizer/mmer", &config, &mmer, || {
         Equalizer::new(Mode::Performance, config.num_sms)
     });
+    for name in ["mri-q", "mmer"] {
+        let kernel = kernel_by_name(name).unwrap();
+        assert_matches_per_tick(&format!("energy/{name}"), &config, &kernel, || {
+            Equalizer::new(Mode::Energy, config.num_sms)
+        });
+        assert_matches_per_tick(&format!("dyncta/{name}"), &config, &kernel, DynCta::new);
+    }
 }
 
 #[test]
 fn mshr_pressure_matches_per_tick() {
     // A cache-thrashing kernel keeps the interconnect back-pressured, so
-    // the commit phase's arbitration order is exercised every cycle and
+    // the service order's arbitration is exercised every cycle and
     // window proofs must keep refusing around in-flight misses.
     let mut config = GpuConfig::gtx480();
     config.num_sms = 4;

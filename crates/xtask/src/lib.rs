@@ -88,23 +88,17 @@ pub fn check_fixture(
     actual.dedup();
     let expected = expected_markers(&source);
     let messages = diagnostics.into_iter().map(|d| d.2).collect();
-    if actual == expected {
-        return Ok(FixtureCheck {
-            messages,
-            mismatch: None,
-        });
-    }
-    let mut msg = format!("{}: errors differ from the //~ markers", fixture.display());
-    for (lint, line) in expected.iter().filter(|m| !actual.contains(m)) {
-        msg += &format!("\n  line {line}: expected {lint}, got no such error");
-    }
-    for (lint, line) in actual.iter().filter(|a| !expected.contains(a)) {
-        msg += &format!("\n  line {line}: unexpected {lint}");
-    }
-    Ok(FixtureCheck {
-        messages,
-        mismatch: Some(msg),
-    })
+    let mismatch = (actual != expected).then(|| {
+        let mut msg = format!("{}: errors differ from the //~ markers", fixture.display());
+        for (lint, line) in expected.iter().filter(|m| !actual.contains(m)) {
+            msg += &format!("\n  line {line}: expected {lint}, got no such error");
+        }
+        for (lint, line) in actual.iter().filter(|a| !expected.contains(a)) {
+            msg += &format!("\n  line {line}: unexpected {lint}");
+        }
+        msg
+    });
+    Ok(FixtureCheck { messages, mismatch })
 }
 
 /// The failures of a fixture run, in order: each fixture's error or
@@ -225,6 +219,45 @@ pub fn rs_files(dir: &Path, skip: &[&str]) -> io::Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The strict lints on the first line of `fixtures/<name>` starting with `code`.
+    fn lints_on(name: &str, code: &str) -> Vec<String> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let fixture = dir.join("fixtures").join(name);
+        let src = fs::read_to_string(&fixture).unwrap();
+        let at = src.lines().position(|l| l.trim_start().starts_with(code));
+        let line = 1 + at.unwrap();
+        let out = dir.join(format!("../../target/xtask-unit/{name}-{line}"));
+        fs::create_dir_all(&out).unwrap();
+        let errors = fixture_errors(&fixture, &dir.join("../sim"), &out).unwrap();
+        assert!(!errors.is_empty(), "clippy reported nothing on {name}");
+        let on_line = errors.into_iter().filter(|e| e.1 == line);
+        on_line.map(|e| e.0).collect()
+    }
+
+    #[test]
+    fn unwrap_and_expect_fire() {
+        assert_eq!(lints_on("unwrap.rs", "s.parse()"), ["clippy::unwrap_used"]);
+        assert_eq!(lints_on("unwrap.rs", "x.expect("), ["clippy::expect_used"]);
+    }
+
+    #[test]
+    fn unwrap_or_is_not_unwrap() {
+        assert!(lints_on("unwrap.rs", "x.unwrap_or(0)").is_empty());
+    }
+
+    #[test]
+    fn cfg_test_region_is_exempt() {
+        // `allow-*-in-tests`: test code may unwrap, print and panic.
+        assert!(lints_on("unwrap.rs", "println!(").is_empty());
+        assert!(lints_on("unwrap.rs", "panic!(\"gone").is_empty());
+    }
+
+    #[test]
+    fn allow_with_unknown_rule_is_flagged() {
+        let unknown = lints_on("hashmap.rs", "#[allow(clippy::no_such_lint");
+        assert_eq!(unknown, ["unknown_lints"]);
+    }
 
     #[test]
     fn operand_is_not_rand() {

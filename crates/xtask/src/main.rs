@@ -2,22 +2,11 @@
 //!
 //! * `cargo xtask fixtures` — compiles every file of
 //!   `crates/xtask/fixtures/` with `clippy-driver` under the strict
-//!   crates' configuration; fails unless each errors exactly on its
-//!   `//~ <lint>` markers and every ban in `crates/sim/clippy.toml`
-//!   fires somewhere ([`xtask::check_all_fixtures`]). The fixtures are
-//!   the one check of the determinism policy: each behaviour of it is
-//!   one marked (or deliberately unmarked) line.
-//! * `cargo xtask ci` — the offline CI driver and the whole pipeline,
-//!   the steps of `STEPS` in order: release build; clippy with
-//!   warnings denied, with default features and with `validate`; the
-//!   fixture check; the test suite and the `validate`-feature test
-//!   suite; a smoke test of the `regenerate` bench target (Table I); a
-//!   `sim-report` artifact smoke test; the fast-forward gate;
-//!   the benchmark golden check; and a formatting check (skipped with a
-//!   warning when rustfmt is absent). The determinism policy is clippy's
-//!   (DESIGN.md §7); the test suites hold the rest, including the
-//!   tagged-to-do rule and bit-identity of every fast path with per-tick
-//!   stepping (`tests/window_determinism.rs`).
+//!   crates' configuration and fails unless each errors exactly on its
+//!   `//~ <lint>` markers and every ban fires somewhere
+//!   ([`xtask::check_all_fixtures`]).
+//! * `cargo xtask ci` — the offline CI pipeline: the steps of `STEPS`
+//!   in order, stopping at the first that fails.
 
 use std::env;
 use std::path::PathBuf;

@@ -103,23 +103,18 @@ pub fn comments(source: &str) -> Vec<String> {
                     }
                 }
                 State::Str => {
-                    if c == '\\' {
-                        i += 2;
-                    } else {
-                        if c == '"' {
-                            state = State::Code;
-                        }
-                        i += 1;
+                    if c == '"' {
+                        state = State::Code;
                     }
+                    i += if c == '\\' { 2 } else { 1 };
                 }
                 State::RawStr { hashes } => {
                     let closes = c == '"' && (1..=hashes).all(|k| chars.get(i + k) == Some(&'#'));
                     if closes {
                         state = State::Code;
-                        i += 1 + hashes;
-                    } else {
-                        i += 1;
+                        i += hashes;
                     }
+                    i += 1;
                 }
             }
         }

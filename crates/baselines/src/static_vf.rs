@@ -4,7 +4,7 @@
 use equalizer_sim::config::{GpuConfig, VfLevel};
 
 /// A fixed voltage/frequency operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StaticPoint {
     /// Everything nominal.
     Baseline,

@@ -9,7 +9,7 @@
 //! per-domain frequency votes of Table I.
 
 /// Equalizer's objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Mode {
     /// Throttle under-utilised resources; keep performance.
     Energy,

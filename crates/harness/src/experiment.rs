@@ -13,10 +13,10 @@ use equalizer_sim::gpu::{SimError, SimOptions};
 use equalizer_sim::kernel::KernelSpec;
 use equalizer_sim::stats::RunStats;
 
-use crate::store::{result_key, ResultStore, StoreStats};
+use crate::store::{run_key, ResultStore, StoreStats};
 
 /// Which system drives the hardware for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum System {
     /// A static operating point (no runtime control).
     Static(StaticPoint),
@@ -99,22 +99,16 @@ pub fn compare(baseline: &Measurement, run: &Measurement) -> Comparison {
     }
 }
 
-/// Results a [`Runner`]'s store keeps at most. An entry is one
-/// `RunStats`, at most tens of KB with its epoch timeline; one figure
-/// generator needs a few hundred entries at most.
-const RUNNER_STORE_CAPACITY: usize = 1024;
-
 /// Runs kernels under systems and converts statistics to energy.
 ///
-/// A runner memoizes its runs. The simulator is deterministic, so
-/// [`Runner::run`] keys each run by its canonical
-/// [`result_key`] (resolved configuration, kernel identity, options,
-/// system) in a [`ResultStore`]: a repeat returns a clone of the first
-/// run's `RunStats` instead of simulating again, and concurrent identical
-/// calls (e.g. from [`parallel_map`]) collapse onto one simulation. That
-/// is what lets the figure generators share their baseline runs. Clones
-/// of a runner share its store; [`Runner::new`] and [`Runner::gtx480`]
-/// start an empty one, so two independently built runners never share
+/// A runner memoizes its runs. The simulator is deterministic and a
+/// runner's configuration and options never change, so [`Runner::run`]
+/// keys each run by [`run_key`] (kernel identity, system) in a
+/// [`ResultStore`]: a repeat returns a clone of the first run's
+/// `RunStats`, or its error, instead of simulating again. That is what
+/// lets the figure generators share their baseline runs. Clones of a
+/// runner share its store; [`Runner::new`] and [`Runner::gtx480`] start
+/// an empty one, so two independently built runners never share
 /// results.
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -141,7 +135,7 @@ impl Runner {
             config,
             model,
             options,
-            store: Arc::new(ResultStore::new(RUNNER_STORE_CAPACITY)),
+            store: Arc::default(),
         }
     }
 
@@ -155,8 +149,8 @@ impl Runner {
         &self.model
     }
 
-    /// How this runner's store has answered so far: memo hits, joined
-    /// flights, and the simulations it actually ran.
+    /// How this runner's store has answered so far: memo hits, and the
+    /// simulations it actually ran.
     pub fn store_stats(&self) -> StoreStats {
         self.store.tallies()
     }
@@ -170,13 +164,11 @@ impl Runner {
     /// Propagates [`SimError`] from the simulator. A failure is memoized
     /// too, so a repeat returns the same error.
     pub fn run(&self, kernel: &KernelSpec, system: System) -> Result<Measurement, SimError> {
-        let (config, mut governor) = system_setup(&self.config, system);
-        let key = result_key(&config, kernel, &self.options, system);
-        let (stats, _) = self.store.get_or_run(key, || {
+        let stats = self.store.get_or_run(run_key(kernel, system), || {
+            let (config, mut governor) = system_setup(&self.config, system);
             let stats = Engine::new(&config, kernel, self.options)?.run(governor.as_mut())?;
             Ok(Arc::new(stats))
-        });
-        let stats = stats?;
+        })?;
         Ok(self.measure(kernel, system, RunStats::clone(&stats)))
     }
 
@@ -221,8 +213,7 @@ impl Runner {
 }
 
 /// Resolves a [`System`] into the configuration and governor that realise
-/// it on the `base` hardware. The resolved configuration is what
-/// [`result_key`] folds.
+/// it on the `base` hardware.
 fn system_setup(base: &GpuConfig, system: System) -> (GpuConfig, Box<dyn Governor>) {
     match system {
         System::Static(point) => (point.apply(base.clone()), Box::new(StaticGovernor)),

@@ -1,10 +1,11 @@
 //! The `Runner`'s result store: figures that share runs simulate each
 //! distinct run once and still produce the rows fresh runners produce;
-//! duplicate concurrent calls collapse onto one simulation; an observed
-//! run always simulates; failures come back from memory unchanged.
+//! the memo keys on kernel identity and system and is shared by clones;
+//! an observed run always simulates; failures come back from memory
+//! unchanged.
 
 use equalizer_core::Mode;
-use equalizer_harness::{figures, parallel_map, Runner, System};
+use equalizer_harness::{figures, Runner, System};
 use equalizer_power::PowerModel;
 use equalizer_sim::config::GpuConfig;
 use equalizer_sim::engine::Observer;
@@ -72,24 +73,32 @@ fn shared_runner_simulates_each_distinct_run_once_with_identical_rows() {
     let stats = shared.store_stats();
     assert_eq!(cold_sims, 22, "2 kernels x (1 + 4 + 4 + 2) requested runs");
     assert_eq!(stats.simulations, 14, "2 kernels x 7 distinct runs");
-    assert_eq!(stats.hits + stats.coalesced, 22 - 14);
+    assert_eq!(stats.hits, 22 - 14);
     assert_eq!(stats.failures, 0);
 }
 
 #[test]
-fn duplicate_parallel_runs_simulate_once() {
-    const CALLS: usize = 4;
+fn each_kernel_identity_and_system_simulates_once_and_clones_share_the_memo() {
     let runner = small_runner(SimOptions::default());
     let kernel = kernel_by_name("prtcl-2").unwrap();
-    let runs = parallel_map(vec![kernel; CALLS], |k| {
-        runner.run(k, System::DynCta).unwrap()
-    });
-    let stats = runner.store_stats();
-    assert_eq!(stats.simulations, 1, "one leader simulates");
-    assert_eq!(stats.hits + stats.coalesced, CALLS as u64 - 1);
-    for m in &runs {
-        assert_eq!(m.stats, runs[0].stats);
+    let reseeded = kernel.clone().with_seed(kernel.seed() + 1);
+    assert_eq!(reseeded.name(), kernel.name());
+    let systems = [System::DynCta, System::Equalizer(Mode::Energy)];
+    for k in [&kernel, &reseeded] {
+        for system in systems {
+            runner.run(k, system).unwrap();
+        }
     }
+    assert_eq!(runner.store_stats().simulations, 4, "2 kernels x 2 systems");
+
+    let clone = runner.clone();
+    for k in [&kernel, &reseeded] {
+        for system in systems {
+            clone.run(k, system).unwrap();
+        }
+    }
+    let stats = runner.store_stats();
+    assert_eq!((stats.simulations, stats.hits), (4, 4), "the clone hits");
 }
 
 #[derive(Default)]

@@ -246,11 +246,11 @@ pub trait Observer {
     fn on_block_event(&mut self, _event: BlockEvent) {}
 }
 
-/// The bundled observer behind [`SimOptions::record_epochs`]: collects
-/// one [`EpochRecord`] per epoch boundary.
+/// The bundled observer that collects one [`EpochRecord`] per epoch
+/// boundary.
 ///
-/// [`Engine`] installs one internally when `record_epochs` is set (that
-/// is how [`RunStats::epochs`] is produced); attach your own with
+/// [`Engine`] always installs one internally (that is how
+/// [`RunStats::epochs`] is produced); attach your own with
 /// [`Engine::attach`] to collect the identical timeline externally.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
@@ -348,7 +348,7 @@ pub struct Engine<'o> {
     // per-step hot path skips all observer-only bookkeeping (the block
     // snapshot, the machine sample) with a single flag test.
     invocations: Vec<InvocationStats>,
-    recorder: Option<Recorder>,
+    recorder: Recorder,
     observers: Vec<&'o mut dyn Observer>,
     observed: bool,
     block_scratch: Vec<u64>,
@@ -424,7 +424,7 @@ impl<'o> Engine<'o> {
             inv_start_fs: 0,
             phase: Phase::StartInvocation,
             invocations: Vec::new(),
-            recorder: options.record_epochs.then(Recorder::default),
+            recorder: Recorder::default(),
             observers: Vec::new(),
             observed: false,
             block_scratch: Vec::new(),
@@ -612,11 +612,7 @@ impl<'o> Engine<'o> {
             mem_events: *self.mem.stats(),
             batched_ticks: self.batched_ticks,
             epochs_executed: self.epoch_index,
-            epochs: self
-                .recorder
-                .as_ref()
-                .map(|r| r.records().to_vec())
-                .unwrap_or_default(),
+            epochs: self.recorder.records().to_vec(),
             invocations: self.invocations.clone(),
             ..RunStats::default()
         };
@@ -1012,14 +1008,10 @@ impl<'o> Engine<'o> {
             now_fs: t,
         };
         let decision = governor.epoch(&ctx, &reports);
-        if self.recorder.is_some() || self.observed {
-            let record = make_record(&ctx, &reports, self.inv_idx, self.epoch_index, t);
-            if let Some(recorder) = &mut self.recorder {
-                recorder.on_epoch(&ctx, &reports, &record);
-            }
-            for obs in &mut self.observers {
-                obs.on_epoch(&ctx, &reports, &record);
-            }
+        let record = make_record(&ctx, &reports, self.inv_idx, self.epoch_index, t);
+        self.recorder.on_epoch(&ctx, &reports, &record);
+        for obs in &mut self.observers {
+            obs.on_epoch(&ctx, &reports, &record);
         }
         if self.observed {
             let sample = self.machine_sample(t);
@@ -1470,7 +1462,6 @@ mod tests {
     fn cycle_limit_freezes_the_engine() {
         let opts = SimOptions {
             max_cycles_per_invocation: 50,
-            record_epochs: false,
             ..SimOptions::default()
         };
         let mut engine = Engine::new(&small_config(), &alu_kernel(64, 100), opts).unwrap();

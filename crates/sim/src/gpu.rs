@@ -68,9 +68,6 @@ impl Error for SimError {}
 pub struct SimOptions {
     /// Abort an invocation after this many SM cycles.
     pub max_cycles_per_invocation: u64,
-    /// Record the per-epoch timeline in [`RunStats::epochs`]. This
-    /// installs the engine's bundled [`crate::engine::Recorder`] observer.
-    pub record_epochs: bool,
     /// Ignored: the engine steps every SM on the calling thread, and no
     /// code reads this field.
     ///
@@ -116,7 +113,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         Self {
             max_cycles_per_invocation: 80_000_000,
-            record_epochs: true,
             threads: 1,
             max_batch_ticks: 1024,
             fast_forward: true,
@@ -275,7 +271,6 @@ mod tests {
     fn cycle_limit_fires_with_diagnostics() {
         let opts = SimOptions {
             max_cycles_per_invocation: 50,
-            record_epochs: false,
             ..SimOptions::default()
         };
         let err =

@@ -162,8 +162,8 @@ impl KernelSpec {
     ///
     /// The exhaustive destructuring (no `..` rest pattern) is a
     /// compile-time guard: a new `KernelSpec` field cannot ship without
-    /// a decision on whether it is identity-bearing. Used by the
-    /// harness result store's content-addressed `result_key`.
+    /// a decision on whether it is identity-bearing. The harness result
+    /// store keys its memo on this fold (`store::run_key`).
     pub fn fold_identity(&self, fold: &mut crate::util::Fold) {
         let KernelSpec {
             name,

@@ -79,8 +79,7 @@ pub struct RunStats {
     /// `SimOptions::max_batch_ticks` and `SimOptions::fast_forward`,
     /// and is excluded from equality.
     pub batched_ticks: u64,
-    /// Epochs the engine executed, whether or not they were recorded
-    /// into [`RunStats::epochs`] (`record_epochs` may be off).
+    /// Epochs the engine executed.
     pub epochs_executed: u64,
     /// Per-epoch timeline.
     pub epochs: Vec<EpochRecord>,

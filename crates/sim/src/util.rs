@@ -77,7 +77,7 @@ pub fn mix64(mut z: u64) -> u64 {
 ///
 /// Feed it a canonical field sequence and it produces a hash that
 /// depends on every value and its position. The harness result store
-/// builds its content-addressed `result_key` from it.
+/// keys its memo on a kernel's identity fold.
 #[derive(Debug, Clone, Copy)]
 pub struct Fold {
     h: u64,

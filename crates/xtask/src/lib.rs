@@ -326,8 +326,8 @@ mod tests {
     fn classify_makes_the_harness_result_store_strict() {
         // The harness is lax in general (figure sweeps time the host),
         // but the store every `Runner` memoizes through is strict: no
-        // clock or environment read can feed `result_key`, no hash map
-        // can order eviction, and it neither unwraps nor panics.
+        // clock or environment read can feed a memo key, no hash map
+        // can order the memo, and it neither unwraps nor panics.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../harness");
         let store = fs::read_to_string(root.join("src/store.rs")).unwrap();
         let deny =

@@ -108,30 +108,6 @@ fn attached_observer_reproduces_runstats_epochs() {
     );
 }
 
-#[test]
-fn record_epochs_off_still_feeds_observers() {
-    let config = small_config();
-    let kernel = kernel_by_name("mmer").expect("catalog kernel");
-    let opts = SimOptions {
-        record_epochs: false,
-        ..SimOptions::default()
-    };
-    let mut external = Recorder::default();
-    let mut engine = Engine::new(&config, &kernel, opts)
-        .expect("engine builds")
-        .with_observer(&mut external);
-    let stats = engine.run(&mut StaticGovernor).expect("run");
-    assert!(stats.epochs.is_empty(), "internal timeline disabled");
-    assert!(
-        !external.records().is_empty(),
-        "attached observers still receive every epoch"
-    );
-    // And the timeline they see matches a recorded run bit for bit.
-    let recorded = simulate_with(&config, &kernel, &mut StaticGovernor, SimOptions::default())
-        .expect("recorded run");
-    assert_eq!(external.records(), &recorded.epochs[..]);
-}
-
 /// Mid-run inspection: pause at an epoch boundary, look inside the
 /// machine, and finish — without perturbing the result.
 #[test]

@@ -6,12 +6,11 @@
 //! frequency modulation on both the SM and memory clock domains.
 //!
 //! Everything here describes the simulated *hardware* and therefore
-//! affects results. Knobs that only change how fast the host simulates
-//! that hardware — the event-driven fast-forward path (fused stall
-//! windows and the fast-issue cuts; `fast_forward`, default on, and
-//! `max_batch_ticks`) — live on
-//! [`SimOptions`](crate::gpu::SimOptions) instead, and are guaranteed
-//! not to change `RunStats`.
+//! affects results. The knob that only changes how fast the host
+//! simulates that hardware — `max_batch_ticks`, the fused stall windows'
+//! length bound — lives on [`SimOptions`](crate::gpu::SimOptions)
+//! instead, and is meant not to change `RunStats` (its docs name the
+//! one known exception).
 
 use crate::ccws::CcwsConfig;
 

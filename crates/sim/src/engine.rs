@@ -37,18 +37,13 @@
 //! a per-tick memory replay). The memory system may stay active as long
 //! as [`MemSystem::next_event_time`] shows no response can become ready
 //! inside the window. A window is exactly equivalent to `w` per-tick
-//! steps (see [`Engine::batched_ticks`] and
+//! steps (see [`RunStats::batched_ticks`] and
 //! `tests/window_determinism.rs`, which compares the default options
 //! with per-tick stepping at `max_batch_ticks = 1`). One known defect:
 //! the termination check runs only after per-tick steps, so when stores
 //! drain after the last block retired, a fused window can carry the
 //! idle machine to the next epoch boundary before the invocation ends
 //! (`TERMINATION_OVERSHOOT` in `tests/stats_digest.rs`).
-//!
-//! Fused windows need [`SimOptions::fast_forward`] (the default), which
-//! also arms the issue stage's fast cuts. Turning the knob off runs
-//! every tick per-tick without the cuts; results are bit-identical
-//! either way.
 
 use std::fmt;
 
@@ -389,14 +384,7 @@ impl<'o> Engine<'o> {
             .map(|_| DomainClock::new(config.sm_clock, config.initial_sm_level))
             .collect();
         let mem_clock = DomainClock::new(config.mem_clock, config.initial_mem_level);
-        let mut sms: Vec<Sm> = (0..config.num_sms).map(|i| Sm::new(i, config)).collect();
-        if options.fast_forward {
-            // The issue-walk fast cuts ride the same knob as the
-            // window machinery.
-            for sm in &mut sms {
-                sm.set_fast_issue(true);
-            }
-        }
+        let sms: Vec<Sm> = (0..config.num_sms).map(|i| Sm::new(i, config)).collect();
         let mem = MemSystem::new(config);
         let nominal_sm_period = config.sm_clock.period_fs(VfLevel::Nominal);
         let epoch_span_fs = config.epoch_cycles * nominal_sm_period;
@@ -481,22 +469,10 @@ impl<'o> Engine<'o> {
         self.sms.len()
     }
 
-    /// SM-domain ticks that were executed inside fused windows so far.
-    ///
-    /// Purely a wall-clock-optimisation diagnostic: windows never
-    /// change simulated results (`tests/window_determinism.rs` pins
-    /// that), so this counter only tells you how often the engine could
-    /// prove a multi-tick window in which every awake warp is stalled.
-    /// It counts machine ticks, once per window however many SMs it
-    /// covers.
-    pub fn batched_ticks(&self) -> u64 {
-        self.batched_ticks
-    }
-
     /// The window diagnostic: window-size histogram, what bounded each
     /// window, and why per-tick fallbacks happened.
     ///
-    /// `RunStats`-adjacent on purpose — like [`Engine::batched_ticks`]
+    /// `RunStats`-adjacent on purpose — like [`RunStats::batched_ticks`]
     /// it describes the wall-clock optimisation, not the simulated
     /// machine, so it never enters [`RunStats`]. Deterministic.
     pub fn batch_window_stats(&self) -> &BatchWindowStats {
@@ -838,9 +814,9 @@ impl<'o> Engine<'o> {
     /// The proof obligations, checked in cheapest-first order:
     ///
     /// - the machine can open windows at all (`windows_enabled`): a
-    ///   shared VRM, `max_batch_ticks >= 2`, [`SimOptions::fast_forward`]
-    ///   on and no CCWS, whose issue-mask refresh runs on a cycle cadence
-    ///   inside [`Sm::cycle`] that a fused window would skip;
+    ///   shared VRM, `max_batch_ticks >= 2` and no CCWS, whose
+    ///   issue-mask refresh runs on a cycle cadence inside [`Sm::cycle`]
+    ///   that a fused window would skip;
     /// - no VF transition pending on either domain (periods are frozen,
     ///   so every in-window tick time is known up front);
     /// - the window ends strictly before the next epoch boundary and
@@ -1152,13 +1128,10 @@ impl<'o> Engine<'o> {
 
 /// Whether the machine can ever open a fused window: per-SM VRMs drift
 /// the SM clocks apart, `max_batch_ticks < 2` selects the per-tick
-/// reference, `fast_forward` off turns windows off, and CCWS refreshes
-/// its issue mask inside the per-cycle pipeline.
+/// reference, and CCWS refreshes its issue mask inside the per-cycle
+/// pipeline.
 fn windows_enabled(config: &GpuConfig, options: &SimOptions) -> bool {
-    !config.per_sm_vrm
-        && options.max_batch_ticks >= 2
-        && options.fast_forward
-        && config.ccws.is_none()
+    !config.per_sm_vrm && options.max_batch_ticks >= 2 && config.ccws.is_none()
 }
 
 /// Translates a governor request into a pending clock transition and
@@ -1437,28 +1410,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_stepping_matches_per_tick() {
-        let config = small_config();
-        let kernel = stall_kernel(16, 30);
-        let per_tick = SimOptions {
-            max_batch_ticks: 1,
-            ..SimOptions::default()
-        };
-        let reference = simulate_with(&config, &kernel, &mut StaticGovernor, per_tick).unwrap();
-        assert_eq!(
-            reference.batched_ticks, 0,
-            "per-tick stepping opens no window"
-        );
-        let batched =
-            simulate_with(&config, &kernel, &mut StaticGovernor, SimOptions::default()).unwrap();
-        assert!(
-            batched.batched_ticks > 0,
-            "the stall kernel must open windows"
-        );
-        assert_eq!(reference, batched);
-    }
-
-    #[test]
     fn cycle_limit_freezes_the_engine() {
         let opts = SimOptions {
             max_cycles_per_invocation: 50,
@@ -1506,27 +1457,22 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_is_bit_identical_and_batches_memory_stalls() {
+    fn fused_windows_are_bit_identical_and_batch_memory_stalls() {
         let config = small_config();
         let kernel = stall_kernel(16, 30);
-        let on = SimOptions::default();
-        assert!(on.fast_forward, "fast-forward defaults on");
-        let off = SimOptions {
-            fast_forward: false,
-            ..on
+        let per_tick = SimOptions {
+            max_batch_ticks: 1,
+            ..SimOptions::default()
         };
-        let mut e_on = Engine::new(&config, &kernel, on).unwrap();
-        let s_on = e_on.run(&mut StaticGovernor).unwrap();
-        let mut e_off = Engine::new(&config, &kernel, off).unwrap();
-        let s_off = e_off.run(&mut StaticGovernor).unwrap();
-        assert_eq!(s_on, s_off, "fast-forward must not change results");
-        assert!(e_on.batched_ticks() > 0, "stall cycles must open windows");
+        let reference = simulate_with(&config, &kernel, &mut StaticGovernor, per_tick).unwrap();
         assert_eq!(
-            e_on.batch_window_stats().fused_windows,
-            e_on.batch_window_stats().windows,
-            "every window is fused"
+            reference.batched_ticks, 0,
+            "per-tick stepping opens no window"
         );
-        assert_eq!(e_off.batched_ticks(), 0, "fast-forward off steps per tick");
+        let batched =
+            simulate_with(&config, &kernel, &mut StaticGovernor, SimOptions::default()).unwrap();
+        assert!(batched.batched_ticks > 0, "stall cycles must open windows");
+        assert_eq!(reference, batched, "windows must not change results");
     }
 
     #[test]

@@ -93,20 +93,6 @@ pub struct SimOptions {
     /// `tests/stats_digest.rs`). Values below 2 open no window and give
     /// the per-tick reference.
     pub max_batch_ticks: u64,
-    /// Event-driven fast-forward (DESIGN.md §12). On by default.
-    ///
-    /// When set, the engine opens fused windows (see
-    /// [`SimOptions::max_batch_ticks`]; the memory system may be active
-    /// as long as its conservative next-event horizon,
-    /// [`crate::memsys::MemSystem::next_event_time`], proves no response
-    /// can reach an SM inside the window), and the issue stage stops
-    /// walking warps once its slots are full and passes over
-    /// memory-bound warps once its memory port is closed (on cycles
-    /// where the skipped classification is provably unobservable).
-    /// Results are bit-identical on or off — `sim-ffcheck` checks it
-    /// under every governor family — so this is purely a wall-clock
-    /// knob. Off steps every tick per-tick, without the fast-issue cuts.
-    pub fast_forward: bool,
 }
 
 impl Default for SimOptions {
@@ -115,7 +101,6 @@ impl Default for SimOptions {
             max_cycles_per_invocation: 80_000_000,
             threads: 1,
             max_batch_ticks: 1024,
-            fast_forward: true,
         }
     }
 }

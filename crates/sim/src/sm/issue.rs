@@ -44,6 +44,17 @@
 //! a copy of the CCWS mask, rebuilt with the order and whenever the mask
 //! refreshes.
 //!
+//! The cuts are always armed; there is no uncut walk to compare against.
+//! Under the `validate` feature every cycle asserts their premises
+//! instead: the candidate set is a superset of the warps that can act,
+//! each `blocked` bit equals the CCWS mask, and the `mem_next` bit of
+//! each unfinished warp not at a barrier equals whether its next
+//! instruction is `Mem`. The rest follows from the walk itself: it
+//! breaks only once the issue ports are full, and skips a `Mem` warp
+//! only while the memory port is closed, which cannot reopen within a
+//! walk — the LSU queue is drained before the issue stage and only
+//! grows during it.
+//!
 //! The stage reads and writes only this SM's warps, scoreboard and LSU
 //! queue; the shared memory system and dispatcher are reached only
 //! after it, by the injection and retire steps of `Sm::cycle`.
@@ -155,16 +166,6 @@ impl Candidates {
         }
     }
 
-    #[cfg(feature = "validate")]
-    fn contains(&self, p: usize) -> bool {
-        self.live[p / 64] & (1 << (p % 64)) != 0
-    }
-
-    #[cfg(feature = "validate")]
-    fn is_blocked(&self, p: usize) -> bool {
-        self.blocked[p / 64] & (1 << (p % 64)) != 0
-    }
-
     /// Marks every warp whose ALU dependency has resolved by `now`.
     fn wake_due(&mut self, now: Femtos) {
         while let Some(&Reverse((ready_at, ws))) = self.wake.peek() {
@@ -198,6 +199,12 @@ impl Candidates {
         }
         None
     }
+}
+
+/// Whether position `p` is set in one of [`Candidates`]' bitsets.
+#[cfg(feature = "validate")]
+fn bit(words: &[u64], p: usize) -> bool {
+    words[p / 64] & (1 << (p % 64)) != 0
 }
 
 /// Whether the warp's next instruction is a memory instruction.
@@ -250,13 +257,24 @@ impl Sm {
         #[cfg(feature = "validate")]
         for (p, &ws) in self.sched_order.iter().enumerate() {
             crate::validate_assert!(
-                self.cand.contains(p) || self.warps[ws].as_ref().is_none_or(|w| !w.can_act(now)),
+                bit(&self.cand.live, p) || self.warps[ws].as_ref().is_none_or(|w| !w.can_act(now)),
                 "SM {}: actionable warp slot {ws} missing from the candidate set",
                 self.id
             );
             crate::validate_assert!(
-                self.cand.is_blocked(p) != self.ccws.as_ref().is_none_or(|c| c.may_issue_mem(ws)),
+                bit(&self.cand.blocked, p)
+                    != self.ccws.as_ref().is_none_or(|c| c.may_issue_mem(ws)),
                 "SM {}: blocked bit of warp slot {ws} disagrees with the CCWS mask",
+                self.id
+            );
+            crate::validate_assert!(
+                self.warps[ws]
+                    .as_ref()
+                    .zip(self.program.as_deref())
+                    .is_none_or(|(w, program)| w.finished
+                        || w.at_barrier
+                        || bit(&self.cand.mem_next, p) == next_is_mem(w, program)),
+                "SM {}: mem_next bit of warp slot {ws} disagrees with its next instruction",
                 self.id
             );
         }
@@ -286,7 +304,7 @@ impl Sm {
         // stagger (the walk decrements it unconditionally) and for
         // programs with barriers (`Sync` executes without consuming an
         // issue port).
-        let fast_cut = self.fast_issue && self.staggered == 0 && !program.has_sync() && !sampled;
+        let fast_cut = self.staggered == 0 && !program.has_sync() && !sampled;
 
         let mut from = 0;
         loop {

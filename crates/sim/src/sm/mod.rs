@@ -140,9 +140,6 @@ pub struct Sm {
     completed_scratch: Vec<usize>,
     ccws: Option<CcwsState>,
     blocks_completed: u64,
-    /// Issue-walk fast cuts armed (the engine sets this when
-    /// [`crate::gpu::SimOptions::fast_forward`] is on).
-    fast_issue: bool,
     /// Whether the current cycle's snapshot is sampled (`cycles` is a
     /// multiple of `sample_interval`). Set once per cycle by
     /// [`Sm::cycle`] for the issue stage and [`Sm::account_cycle`].
@@ -194,18 +191,9 @@ impl Sm {
                 .ccws
                 .map(|c| CcwsState::new(c, config.max_warps_per_sm)),
             blocks_completed: 0,
-            fast_issue: false,
             sampled: false,
             staggered: 0,
         }
-    }
-
-    /// Arms the issue-walk fast cuts (engine-level `fast_forward` knob).
-    /// Observationally neutral: they only skip classification work after
-    /// the issue ports (or the memory port) are exhausted, on cycles
-    /// whose snapshot is never sampled.
-    pub(crate) fn set_fast_issue(&mut self, on: bool) {
-        self.fast_issue = on;
     }
 
     /// The SM's index.

@@ -71,13 +71,11 @@ pub struct RunStats {
     pub mem_events: [MemLevelStats; 3],
     /// Whole-run warp-state counters summed over SMs (Figure 4).
     pub warp_states: WarpStateCounters,
-    /// SM-domain ticks executed inside fused stall windows (see
-    /// `Engine::batched_ticks`). The field counts machine ticks, once
-    /// per window whatever the SM count, so the window coverage is
-    /// `batched_ticks / Σ sm_cycles_at`, with no `× num_sms`.
-    /// Diagnostic only: varies with
-    /// `SimOptions::max_batch_ticks` and `SimOptions::fast_forward`,
-    /// and is excluded from equality.
+    /// SM-domain ticks executed inside fused stall windows. The field
+    /// counts machine ticks, once per window whatever the SM count, so
+    /// the window coverage is `batched_ticks / Σ sm_cycles_at`, with no
+    /// `× num_sms`. Diagnostic only: varies with
+    /// `SimOptions::max_batch_ticks`, and is excluded from equality.
     pub batched_ticks: u64,
     /// Epochs the engine executed.
     pub epochs_executed: u64,

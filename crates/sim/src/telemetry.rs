@@ -17,9 +17,8 @@ pub const WINDOW_SIZE_BUCKETS: usize = 11;
 /// proof obligations are checked by `Engine`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchClose {
-    /// Windows are off for this machine: per-SM VRMs, CCWS,
-    /// `SimOptions::fast_forward` off, or the `max_batch_ticks` knob
-    /// below 2.
+    /// Windows are off for this machine: per-SM VRMs, CCWS, or the
+    /// `max_batch_ticks` knob below 2.
     Disabled,
     /// A VF transition is pending on the SM or memory domain, so
     /// in-window tick times cannot be frozen.
@@ -58,17 +57,16 @@ pub enum WindowBound {
 /// Engine-thread breakdown of fused windows: window sizes, what bounded
 /// them, and why per-tick fallbacks happened.
 ///
-/// Replaces the bare `Engine::batched_ticks` count as the profiling
-/// surface (that accessor remains, and remains part of
-/// [`crate::stats::RunStats`]); everything here stays out of
-/// `RunStats`. Deterministic — the counters are driven purely
-/// by the engine's own proof attempts.
+/// Everything here stays out of [`crate::stats::RunStats`], which keeps
+/// only the window tick count (`RunStats::batched_ticks`).
+/// Deterministic — the counters are driven purely by the engine's own
+/// proof attempts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchWindowStats {
     /// Windows opened.
     pub windows: u64,
     /// SM ticks executed inside those windows (equals
-    /// `Engine::batched_ticks`).
+    /// `RunStats::batched_ticks`).
     pub ticks: u64,
     /// Window-size distribution over log2 buckets; see
     /// [`WINDOW_SIZE_BUCKETS`].
@@ -83,11 +81,6 @@ pub struct BatchWindowStats {
     pub bounded_by_horizon: u64,
     /// Windows capped by the memory system's next-event horizon.
     pub bounded_by_mem_horizon: u64,
-    /// Fused windows (all SMs provably stalled, per-cycle work skipped
-    /// entirely). Every window is fused, so this equals `windows`.
-    pub fused_windows: u64,
-    /// SM ticks inside fused windows; equals `ticks`.
-    pub fused_ticks: u64,
     /// Per-tick fallbacks: windows disabled for the machine.
     pub closed_disabled: u64,
     /// Per-tick fallbacks: pending VF transition.
@@ -109,8 +102,6 @@ impl BatchWindowStats {
         // Saturating: a diagnostic must never abort a run, and the sum
         // can only saturate when `w` itself is near the u64 horizon.
         self.ticks = self.ticks.saturating_add(w);
-        self.fused_windows = self.windows;
-        self.fused_ticks = self.ticks;
         // w >= 2 always, so floor(log2(w)) >= 1.
         let log2 = 63 - u64::leading_zeros(w.max(2)) as usize;
         let bucket = (log2 - 1).min(WINDOW_SIZE_BUCKETS - 1);
@@ -167,7 +158,6 @@ mod tests {
         assert_eq!(stats.bounded_by_knob, 3);
         assert_eq!(stats.bounded_by_epoch, 1);
         assert_eq!(stats.bounded_by_horizon, 1);
-        assert_eq!(stats.fused_windows, stats.windows);
     }
 
     #[test]
@@ -177,8 +167,6 @@ mod tests {
         stats.record_window(8, WindowBound::Knob);
         assert_eq!(stats.windows, 2);
         assert_eq!(stats.ticks, 24);
-        assert_eq!(stats.fused_windows, 2);
-        assert_eq!(stats.fused_ticks, 24);
         assert_eq!(stats.bounded_by_mem_horizon, 1);
     }
 

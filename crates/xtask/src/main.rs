@@ -95,14 +95,6 @@ const STEPS: &[(&str, Step)] = &[
              --out target/sim-report-smoke --selfcheck",
         ),
     ),
-    // Fast-forward gate: `RunStats` bit-identity between `fast_forward`
-    // on and off under every governor family, and a >= 1.5x median serial
-    // speedup on 15-SM `mri-q` over interleaved pairs. One core is
-    // enough, so this gate never skips.
-    (
-        "fast-forward gate (sim-ffcheck)",
-        Step::Cargo("run --release -p equalizer-harness --bin sim-ffcheck"),
-    ),
     (
         "benchmark unit tests",
         Step::Cargo("test -q --manifest-path benchmark/Cargo.toml"),

@@ -29,21 +29,27 @@ fn sanitizers_hold_across_categories_and_governors() {
         .map(|name| kernel_by_name(name).unwrap())
         .chain(std::iter::once(equalizer_workloads::bfs2()))
         .collect();
-    for k in &kernels {
+    let governors = [
+        System::Static(StaticPoint::Baseline),
+        System::Equalizer(Mode::Performance),
+        System::Equalizer(Mode::Energy),
+    ];
+    // CCWS throttles on `mmer`, so the issue walk's `blocked` and
+    // `mem_next` asserts see CCWS and DynCTA traffic on a catalog kernel.
+    let mmer = kernel_by_name("mmer").unwrap();
+    let runs = kernels
+        .iter()
+        .flat_map(|k| governors.map(|system| (k, system)))
+        .chain([System::DynCta, System::Ccws].map(|system| (&mmer, system)));
+    for (k, system) in runs {
         let name = k.name();
-        for system in [
-            System::Static(StaticPoint::Baseline),
-            System::Equalizer(Mode::Performance),
-            System::Equalizer(Mode::Energy),
-        ] {
-            let m = r.run(k, system).unwrap();
-            assert!(m.stats.wall_time_fs > 0, "{name} under {system:?}");
-            assert!(
-                m.energy_j().is_finite() && m.energy_j() > 0.0,
-                "{name} under {system:?}: energy {}",
-                m.energy_j()
-            );
-        }
+        let m = r.run(k, system).unwrap();
+        assert!(m.stats.wall_time_fs > 0, "{name} under {system:?}");
+        assert!(
+            m.energy_j().is_finite() && m.energy_j() > 0.0,
+            "{name} under {system:?}: energy {}",
+            m.energy_j()
+        );
     }
 }
 

@@ -98,22 +98,20 @@ fn mshr_pressure_matches_per_tick() {
     assert_matches_per_tick("thrash", &config, &kernel, || StaticGovernor);
 }
 
-/// The issue walk's CCWS cut is invisible: on fast-issue cycles it
-/// passes over memory-bound warps that CCWS throttles, which could only
-/// be classified `ExcessMem`. `mmer` thrashes the L1, so CCWS does
-/// throttle; fast-forward off disarms every fast-issue cut and is the
+/// The issue walk's CCWS cut runs here: on unsampled cycles it passes
+/// over memory-bound warps that CCWS throttles, which could only be
+/// classified `ExcessMem`. `mmer` thrashes the L1, so CCWS does throttle.
+/// The cut is always armed; what checks it is `--features validate`,
+/// which asserts its `blocked` and `mem_next` premises on every cycle.
+/// CCWS opens no fused window, so the run must also equal the per-tick
 /// reference.
 #[test]
-fn ccws_issue_cut_matches_full_walk() {
+fn ccws_throttles_under_the_issue_cut() {
     let mut config = GpuConfig::gtx480();
     config.num_sms = 4;
     let (config, _) = equalizer_baselines::ccws_baseline(config);
     let kernel = kernel_by_name("mmer").unwrap();
-    let full_walk = SimOptions {
-        fast_forward: false,
-        ..SimOptions::default()
-    };
-    let reference = simulate_with(&config, &kernel, &mut StaticGovernor, full_walk).unwrap();
+    let reference = simulate_with(&config, &kernel, &mut StaticGovernor, per_tick()).unwrap();
 
     let mut engine = Engine::new(&config, &kernel, SimOptions::default()).unwrap();
     let mut throttled = false;
@@ -230,14 +228,11 @@ fn full_machine_matches_per_tick() {
     assert_matches_per_tick("uneven", &config, &kernel, || StaticGovernor);
 }
 
-/// Runs `kernel` through a hand-stepped [`Engine`], returning the final
-/// stats and the number of SM ticks executed inside batched windows.
-fn engine_run(config: &GpuConfig, kernel: &KernelSpec, options: SimOptions) -> (RunStats, u64) {
+/// Runs `kernel` through a hand-stepped [`Engine`].
+fn engine_run(config: &GpuConfig, kernel: &KernelSpec, options: SimOptions) -> RunStats {
     let mut engine = Engine::new(config, kernel, options).unwrap();
     while engine.step(&mut StaticGovernor).unwrap() != StepEvent::Complete {}
-    let stats = engine.stats();
-    let batched = engine.batched_ticks();
-    (stats, batched)
+    engine.stats()
 }
 
 #[test]
@@ -261,11 +256,14 @@ fn tick_batching_is_bit_identical_to_per_tick() {
             )])),
         }],
     );
-    let (base, base_batched) = engine_run(&config, &alu, per_tick());
-    assert_eq!(base_batched, 0, "max_batch_ticks=1 must disable batching");
-    let (batched, batched_ticks) = engine_run(&config, &alu, SimOptions::default());
+    let base = engine_run(&config, &alu, per_tick());
+    assert_eq!(
+        base.batched_ticks, 0,
+        "max_batch_ticks=1 must disable batching"
+    );
+    let batched = engine_run(&config, &alu, SimOptions::default());
     assert!(
-        batched_ticks > 0,
+        batched.batched_ticks > 0,
         "a pure-ALU kernel must open batched windows"
     );
     assert_eq!(base, batched, "batched windows diverged from per-tick");
